@@ -80,7 +80,7 @@ from .obs.tracing import trace
 from .staticcheck.analyzer import AnalysisReport, analyze
 from .staticcheck.plan import EvolutionPlan
 from .staticcheck.registry import Severity
-from .storage.faults import StorageFS
+from .storage.backend import StorageBackend
 from .storage.framing import DurabilityPolicy, SalvageReport
 from .storage.journal import DurableLattice
 from .storage.reliability import RetryPolicy
@@ -248,7 +248,7 @@ class Objectbase:
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
         retry: RetryPolicy | None = None,
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
     ) -> "Objectbase":
         """Open (or create) a durable objectbase backed by a WAL file.
 

@@ -49,7 +49,7 @@ from .core.lattice import TypeLattice
 from .core.operations import OperationResult, SchemaOperation
 from .core.properties import Property
 from .obs.metrics import REGISTRY
-from .storage.faults import StorageFS
+from .storage.backend import StorageBackend
 from .storage.framing import DurabilityPolicy, SalvageReport
 from .storage.reliability import RetryPolicy
 
@@ -329,7 +329,7 @@ class ConcurrentObjectbase:
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
         retry: RetryPolicy | None = None,
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         lock_timeout: float = 5.0,
     ) -> "ConcurrentObjectbase":
         """Open a durable objectbase and wrap it for concurrent use.

@@ -7,8 +7,8 @@ this lease:
 
 * The lease lives next to the database as ``<db>.lease``: a JSON
   document ``{"epoch": E, "owner": O, "expires": T}`` written atomically
-  (temp + ``os.replace``) through the same :class:`StorageFS` seam the
-  WAL uses, so the crash matrix can injure it too.
+  (temp + ``os.replace``) through the same :class:`StorageBackend`
+  seam the WAL uses, so the crash matrix can injure it too.
 * **Epochs** are the fencing tokens: every acquisition increments the
   epoch, every replication handshake and heartbeat carries it, and
   replicas refuse any primary offering an epoch lower than one they
@@ -48,7 +48,7 @@ from typing import Callable
 
 from ..core.errors import LeaseHeldError, LeaseLostError
 from ..obs.metrics import REGISTRY
-from ..storage.faults import RealFS, StorageFS
+from ..storage.backend import FileBackend, StorageBackend
 
 __all__ = ["FileLease", "LeaseKeeper"]
 
@@ -85,7 +85,7 @@ class FileLease:
         owner: str | None = None,
         ttl: float = 5.0,
         clock: Callable[[], float] = time.time,
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
     ) -> None:
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
@@ -93,7 +93,7 @@ class FileLease:
         self.owner = owner or f"{socket.gethostname()}:{os.getpid()}"
         self.ttl = ttl
         self.clock = clock
-        self.fs = fs or RealFS()
+        self.fs = fs or FileBackend()
         self.epoch: int | None = None
         self._expires = 0.0
         self._lost_reason: str | None = None

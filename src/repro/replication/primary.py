@@ -2,7 +2,8 @@
 
 :class:`ReplicationSource` reads the primary's own on-disk WAL and
 checkpoint (the same files :class:`~repro.storage.journal.JournalFile`
-writes, through the same :class:`StorageFS` seam).  That "ship only
+writes, through the same
+:class:`~repro.storage.backend.StorageBackend` seam).  That "ship only
 what is on disk" rule is the heart of the committed-prefix invariant:
 a record that was acknowledged but not yet durable *cannot* reach a
 replica, so no replica can ever be ahead of what the primary would
@@ -42,8 +43,7 @@ from typing import Callable
 from ..core.errors import ReplicationError
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import resolve_storage_url
-from ..storage.faults import StorageFS
+from ..storage.backend import StorageBackend, resolve_storage_url
 from ..storage.framing import load_checkpoint, scan_log
 from .channel import Channel, ChannelClosed
 from .lease import FileLease
@@ -92,7 +92,7 @@ class ReplicationSource:
     """Read-only access to the primary's durable WAL + checkpoint."""
 
     def __init__(
-        self, path: str | Path, *, fs: StorageFS | None = None
+        self, path: str | Path, *, fs: StorageBackend | None = None
     ) -> None:
         # Accepts the same backend URLs as Objectbase.open, so the
         # shipper reads the WAL through the very backend that wrote it.

@@ -58,8 +58,7 @@ from ..core.lattice import TypeLattice
 from ..core.operations import operation_from_dict
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import resolve_storage_url
-from ..storage.faults import StorageFS
+from ..storage.backend import StorageBackend, resolve_storage_url
 from ..storage.framing import (
     DurabilityPolicy,
     frame_payload,
@@ -122,7 +121,7 @@ class ReplicaStore:
         *,
         policy: LatticePolicy | None = None,
         durability: DurabilityPolicy | None = None,
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
     ) -> None:
         # Replicas mirror into any backend too (same URL forms).
         target = resolve_storage_url(path, fs=fs)

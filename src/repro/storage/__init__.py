@@ -19,7 +19,7 @@ from .backend import (
     storage_physical_path,
 )
 from .durable_store import DurableObjectbase
-from .faults import CrashPoint, FaultyFS, RealFS, StorageFS
+from .faults import CrashPoint, FaultyFS
 from .framing import DurabilityPolicy, SalvageReport
 from .objstore_backend import ObjectStoreBackend
 from .sqlite_backend import SqliteBackend
@@ -42,8 +42,6 @@ __all__ = [
     "SalvageReport",
     "CrashPoint",
     "FaultyFS",
-    "RealFS",
-    "StorageFS",
     "StorageBackend",
     "FileBackend",
     "SqliteBackend",

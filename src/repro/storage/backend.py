@@ -1,10 +1,8 @@
-"""Pluggable storage backends behind the :class:`StorageFS` seam.
+"""Pluggable storage backends behind the :class:`StorageBackend` seam.
 
-:class:`~repro.storage.faults.StorageFS` started life as a test seam;
-this module promotes it into the real backend abstraction.  Everything
-above the seam — framed WAL records, checkpoint generation fencing,
-salvage/quarantine, retry/degraded-mode, replication shipping — is
-already expressed purely in the ten byte-stream primitives, so a new
+Everything above the seam — framed WAL records, checkpoint generation
+fencing, salvage/quarantine, retry/degraded-mode, replication shipping
+— is expressed purely in eleven byte-stream primitives, so a new
 backend only has to implement those primitives faithfully and the whole
 durability stack (and its crash matrix) comes along for free.
 
@@ -30,8 +28,7 @@ of branching on types:
     try ``transaction()`` and fall back to ordered writes.
 ``durable_rename``
     ``replace`` is durable by itself; the post-rename directory fsync
-    is unnecessary and :func:`~repro.storage.framing.write_checkpoint`
-    skips it.
+    is unnecessary and :func:`atomic_write_bytes` skips it.
 ``durable_writes``
     Every mutating primitive commits durably before returning; fsync
     barriers are no-ops and write reordering is impossible.
@@ -58,13 +55,13 @@ running the conformance suite against it.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from ..core.errors import JournalError
-from .faults import RealFS, StorageFS
 
 __all__ = [
     "StorageBackend",
@@ -78,27 +75,73 @@ __all__ = [
 ]
 
 
-class StorageBackend(StorageFS):
-    """A production storage substrate: :class:`StorageFS` primitives
-    plus a scheme, capability probes and a lifecycle.
+class StorageBackend:
+    """The storage primitives the durability path is allowed to use.
 
-    Subclass contract (the conformance suite in
+    Implementations may keep "files" anywhere — POSIX paths, sqlite
+    rows, content-addressed segments — as long as the byte-stream
+    semantics hold (the conformance suite in
     ``tests/storage/test_crash_matrix.py`` / ``test_recovery_modes.py``
     checks all of it — see ``docs/storage.md``):
 
-    * the ten byte-stream primitives with POSIX-file semantics
-      (``unlink`` tolerates a missing file; ``read_bytes``/``size``/
+    * ``append_bytes`` extends, ``write_bytes`` replaces, ``replace``
+      atomically renames, ``truncate`` cuts to a prefix; ``unlink``
+      tolerates a missing file, while ``read_bytes``/``size``/
       ``truncate``/``replace`` raise :class:`FileNotFoundError` family
-      errors on missing sources);
+      errors on missing sources;
     * transient substrate failures surface as :class:`OSError` so the
       retry layer (:mod:`repro.storage.reliability`) absorbs them;
-    * the capability probes inherited from :class:`StorageFS` describe
-      what the substrate already guarantees;
+    * the class-level capability probes describe what the substrate
+      guarantees *beyond* the primitives (see the module docstring);
     * :meth:`close` releases substrate handles (idempotent).
     """
 
     #: URL scheme this backend answers to (``""`` for none).
     scheme: str = ""
+    #: ``replace`` publishes all-or-nothing even across a crash.
+    supports_atomic_replace: bool = True
+    #: The backend can group primitives into one atomic transaction.
+    supports_transactions: bool = False
+    #: ``replace`` is durable by itself — no directory fsync needed.
+    durable_rename: bool = False
+    #: Every mutating primitive commits durably before returning
+    #: (transactional backends); fsync barriers are no-ops.
+    durable_writes: bool = False
+
+    def exists(self, path: Path) -> bool:
+        raise NotImplementedError
+
+    def size(self, path: Path) -> int:
+        raise NotImplementedError
+
+    def read_bytes(self, path: Path) -> bytes:
+        raise NotImplementedError
+
+    def append_bytes(self, path: Path, data: bytes) -> None:
+        raise NotImplementedError
+
+    def write_bytes(self, path: Path, data: bytes) -> None:
+        raise NotImplementedError
+
+    def replace(self, src: Path, dst: Path) -> None:
+        raise NotImplementedError
+
+    def truncate(self, path: Path, size: int) -> None:
+        raise NotImplementedError
+
+    def unlink(self, path: Path) -> None:
+        raise NotImplementedError
+
+    def fsync_file(self, path: Path) -> None:
+        raise NotImplementedError
+
+    def fsync_dir(self, path: Path) -> None:
+        raise NotImplementedError
+
+    def mkdirs(self, path: Path) -> None:
+        """Ensure a (logical) directory exists; no-op where the
+        substrate has no directories."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release substrate resources; further use is undefined."""
@@ -109,15 +152,67 @@ class StorageBackend(StorageFS):
         return 0
 
 
-class FileBackend(RealFS, StorageBackend):
-    """The POSIX-file backend: :class:`RealFS` with a scheme.
+class FileBackend(StorageBackend):
+    """The POSIX-file backend (thin wrappers over :mod:`os`/:mod:`pathlib`).
 
     Durability is the classic recipe — write, fsync the file, rename,
-    fsync the directory — so ``durable_rename`` stays false and the
-    checkpoint writer performs the directory fsync itself.
+    fsync the directory — so ``durable_rename`` stays false and
+    :func:`atomic_write_bytes` performs the directory fsync itself.
     """
 
     scheme = "file"
+
+    def exists(self, path: Path) -> bool:
+        return Path(path).exists()
+
+    def size(self, path: Path) -> int:
+        return os.path.getsize(path)
+
+    def read_bytes(self, path: Path) -> bytes:
+        return Path(path).read_bytes()
+
+    def append_bytes(self, path: Path, data: bytes) -> None:
+        with open(path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
+
+    def write_bytes(self, path: Path, data: bytes) -> None:
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+
+    def replace(self, src: Path, dst: Path) -> None:
+        os.replace(src, dst)
+
+    def truncate(self, path: Path, size: int) -> None:
+        os.truncate(path, size)
+
+    def unlink(self, path: Path) -> None:
+        Path(path).unlink(missing_ok=True)
+
+    def fsync_file(self, path: Path) -> None:
+        fd = os.open(path, os.O_RDWR)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def fsync_dir(self, path: Path) -> None:
+        # Durability of a rename needs the directory entry flushed too;
+        # best effort where the platform cannot fsync a directory.
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return
+        try:
+            os.fsync(fd)
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+
+    def mkdirs(self, path: Path) -> None:
+        Path(path).mkdir(parents=True, exist_ok=True)
 
 
 @dataclass(frozen=True)
@@ -131,37 +226,44 @@ class StorageTarget:
     operator tooling point.
     """
 
-    fs: StorageFS
+    fs: StorageBackend
     path: Path
     physical: Path
     url: str
 
 
 def atomic_write_bytes(
-    fs: StorageFS, path: Path, data: bytes, *, sync: bool = True
+    fs: StorageBackend,
+    path: Path,
+    data: bytes,
+    *,
+    sync: bool = True,
+    fsync: Callable[[Path], None] | None = None,
 ) -> None:
     """Publish ``data`` at ``path`` atomically through ``fs`` primitives.
 
     Temp file, optional fsync, rename, directory fsync (skipped when the
     backend's rename is intrinsically durable).  A failed write never
-    touches the destination; the partial temp is removed.  This is the
-    pointer-swap primitive the object-store backend builds its manifest
-    on, and what the snapshot savers use.
+    touches the destination; the partial temp is removed.  ``fsync``
+    replaces ``fs.fsync_file`` for the temp-file barrier (the checkpoint
+    writer passes its metered one).  This is the one publish routine
+    behind checkpoints, snapshot saves and the object store's manifest
+    pointer swap.
     """
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         fs.write_bytes(tmp, data)
         if sync:
-            fs.fsync_file(tmp)
+            (fsync or fs.fsync_file)(tmp)
         fs.replace(tmp, path)
-    except OSError:
+    except (OSError, JournalError):
         try:
             fs.unlink(tmp)
         except OSError:
             pass
         raise
-    if sync and not getattr(fs, "durable_rename", False):
+    if sync and not fs.durable_rename:
         fs.fsync_dir(path.parent if str(path.parent) else Path("."))
 
 
@@ -269,7 +371,7 @@ def storage_physical_path(db: str | Path) -> Path:
 
 
 def resolve_storage_url(
-    db: str | Path, *, fs: StorageFS | None = None
+    db: str | Path, *, fs: StorageBackend | None = None
 ) -> StorageTarget:
     """Resolve a database location (path or backend URL) to a target.
 

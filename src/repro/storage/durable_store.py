@@ -16,6 +16,10 @@ is the classic one:
 * **recovery** — load the latest snapshot, replay the live (unfenced)
   WAL tail through a fresh :class:`SchemaManager`.
 
+Both halves run on :class:`~repro.storage.journal.JournalFile`, the same
+engine as :class:`DurableLattice`; this module adds only the record
+codec, the replay step and the abort-marker rule below.
+
 Because the log is written ahead of the mutation, a record can be on
 disk for an operation that never applied: (a) the method was *rejected*
 in memory — an ``__abort__`` marker is appended so replay skips the
@@ -34,7 +38,6 @@ checkpoint.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Any, Callable
@@ -43,20 +46,11 @@ from ..core.errors import JournalError, SchemaError
 from ..obs.metrics import REGISTRY
 from ..tigukat.evolution import SchemaManager
 from ..tigukat.store import Objectbase
-from .backend import resolve_storage_url
-from .faults import StorageFS
-from .framing import (
-    DurabilityPolicy,
-    SalvageReport,
-    encode_frame,
-    fence_records,
-    load_checkpoint,
-    read_log,
-    timed_fsync,
-    write_checkpoint,
-)
+from .backend import StorageBackend, resolve_storage_url
+from .framing import DurabilityPolicy, FramedRecord
+from .journal import JournalCodec, JournalFile
 from .objectbase_snapshot import objectbase_from_dict, objectbase_to_dict
-from .reliability import DegradedLatch, RetryPolicy, append_record
+from .reliability import RetryPolicy
 
 __all__ = ["DurableObjectbase"]
 
@@ -99,6 +93,14 @@ def _decode_wal_record(record: dict) -> dict:
     return record
 
 
+#: Manager-call records (already JSON objects) over an objectbase snapshot.
+_OBJECTBASE_CODEC = JournalCodec(
+    record_to_dict=lambda record: record,
+    record_from_dict=_decode_wal_record,
+    state_to_dict=objectbase_to_dict,
+)
+
+
 class DurableObjectbase:
     """An objectbase whose schema evolution is write-ahead durable."""
 
@@ -109,33 +111,36 @@ class DurableObjectbase:
         *,
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         # A backend URL resolves to its backend plus a logical directory
         # inside it; an explicit ``fs`` always wins (fault injection).
         target = resolve_storage_url(directory, fs=fs)
-        self.directory = Path(target.path)
-        self.fs = target.fs
-        self.fs.mkdirs(self.directory)
-        self.snapshot_path = self.directory / "objectbase.json"
-        self.wal_path = self.directory / "schema.wal"
-        self._bodies = computed_bodies or {}
-        self.durability = durability or DurabilityPolicy()
-        self.retry = retry or RetryPolicy()
-        self.latch = DegradedLatch(store=str(self.wal_path))
-
-        state, self._generation = load_checkpoint(
-            self.snapshot_path, fs=self.fs
+        directory = Path(target.path)
+        target.fs.mkdirs(directory)
+        self.wal_path = directory / "schema.wal"
+        self.file = JournalFile(
+            self.wal_path,
+            durability=durability,
+            fs=target.fs,
+            retry=retry,
+            codec=_OBJECTBASE_CODEC,
+            checkpoint_path=directory / "objectbase.json",
         )
-        if state is not None:
-            self.store = objectbase_from_dict(state, self._bodies)
-        else:
-            self.store = Objectbase()
+        state, live, self.recovery_report = self.file.open(recovery)
+        self.store = (
+            objectbase_from_dict(state, computed_bodies or {})
+            if state is not None else Objectbase()
+        )
         self.manager = SchemaManager(self.store)
         self._seq = 0
-        self._since_checkpoint = 0
-        self.recovery_report = self._replay_wal(recovery)
+        self.file.replay(live, self._replay, self.store)
+
+    @property
+    def _generation(self) -> int:
+        """The checkpoint generation new WAL records are stamped with."""
+        return self.file.generation
 
     # -- the durable operation surface -------------------------------------
 
@@ -156,43 +161,29 @@ class DurableObjectbase:
             raise JournalError(
                 f"{method!r} is not a durable (WAL-replayable) operation"
             )
-        target = (
-            getattr(self.manager, method)
-            if hasattr(self.manager, method)
-            else getattr(self.store, method)
-        )
+        target = self._target(method)
         record_args = self._bind(spec, args, kwargs)
         self._seq += 1
-        self._append(
+        self.file.append(
             {"method": method, "args": record_args, "seq": self._seq}
         )
         try:
             result = target(*args, **kwargs)
         except SchemaError:
-            self._append({"method": _ABORT, "args": {"seq": self._seq}})
+            self.file.append({"method": _ABORT, "args": {"seq": self._seq}})
             raise
-        self._since_checkpoint += 1
-        self._maybe_auto_checkpoint()
+        self.file.maybe_checkpoint(self.store)
         return result
 
     @property
     def degraded(self) -> bool:
         """Whether the store is latched read-only after append failure."""
-        return self.latch.degraded
+        return self.file.degraded
 
-    def _append(self, record: dict) -> None:
-        payload = json.dumps(record, sort_keys=True)
-        append_record(
-            self.fs,
-            self.wal_path,
-            encode_frame(payload, self._generation),
-            retry=self.retry,
-            latch=self.latch,
-            sync=(
-                (lambda: timed_fsync(self.fs, self.wal_path))
-                if self.durability.sync_appends else None
-            ),
-        )
+    def _target(self, method: str) -> Callable[..., Any]:
+        if hasattr(self.manager, method):
+            return getattr(self.manager, method)
+        return getattr(self.store, method)
 
     def _bind(self, spec: tuple[str, ...], args: tuple, kwargs: dict) -> dict:
         bound: dict[str, Any] = {}
@@ -209,14 +200,9 @@ class DurableObjectbase:
                 ) else list(value)
         return bound
 
-    def _replay_wal(self, mode: str) -> SalvageReport:
-        records, report = read_log(
-            self.wal_path, fs=self.fs, mode=mode,
-            decode=_decode_wal_record, repair=True,
-        )
-        live, report.records_fenced = fence_records(
-            records, self._generation
-        )
+    def _replay(self, live: list[FramedRecord]) -> None:
+        """Apply the live tail, honouring ``__abort__`` markers and the
+        logged-but-unapplied final record (see the module docstring)."""
         aborted = {
             r.payload["args"].get("seq")
             for r in live
@@ -229,24 +215,16 @@ class DurableObjectbase:
             ),
             default=0,
         )
-        replayable = [
-            r for r in live
-            if r.payload["method"] != _ABORT
-            and r.payload.get("seq") not in aborted
-        ]
-        for r in replayable:
+        for r in live:
             method = r.payload["method"]
-            target = (
-                getattr(self.manager, method)
-                if hasattr(self.manager, method)
-                else getattr(self.store, method)
-            )
+            if method == _ABORT or r.payload.get("seq") in aborted:
+                continue
             kwargs = dict(r.payload["args"])
             for key in ("supertypes", "behaviors"):
                 if key in kwargs and isinstance(kwargs[key], list):
                     kwargs[key] = tuple(kwargs[key])
             try:
-                target(**kwargs)
+                self._target(method)(**kwargs)
             except SchemaError as exc:
                 if r is live[-1]:
                     # Write-ahead tail: logged, crashed before applying.
@@ -260,49 +238,22 @@ class DurableObjectbase:
                 raise JournalError(
                     f"WAL replay failed at line {r.lineno}: {exc}"
                 ) from exc
-            self._since_checkpoint += 1
-        if not report.clean:
-            logger.warning("recovery(%s): %s", mode, report.summary())
-        return report
 
     # -- snapshots ------------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Snapshot the whole store (schema AND instances); truncate WAL.
 
-        Atomic and fenced exactly like :meth:`JournalFile.checkpoint`:
-        temp file + fsync + rename + directory fsync, generation bumped
-        before the WAL truncate so a crash in between cannot replay the
-        stale tail on top of the snapshot.
+        Atomic and fenced exactly like :meth:`DurableLattice.checkpoint`
+        — it is the same :meth:`JournalFile.checkpoint` — so a crash
+        between the snapshot publish and the WAL truncate cannot replay
+        the stale tail on top of the snapshot.
         """
-        new_generation = self._generation + 1
-        sync = self.durability.sync_checkpoints
-        write_checkpoint(
-            self.snapshot_path,
-            objectbase_to_dict(self.store),
-            new_generation,
-            fs=self.fs,
-            sync=sync,
-        )
-        self._generation = new_generation
-        self.fs.write_bytes(self.wal_path, b"")
-        if sync:
-            timed_fsync(self.fs, self.wal_path)
-        self._since_checkpoint = 0
-
-    def _maybe_auto_checkpoint(self) -> None:
-        every = self.durability.checkpoint_every
-        if every is not None and self._since_checkpoint >= every:
-            logger.info(
-                "auto-checkpoint after %d record(s) (policy: every %d)",
-                self._since_checkpoint, every,
-            )
-            self.checkpoint()
+        self.file.checkpoint(self.store)
 
     def sync(self) -> None:
         """Flush appended WAL records (the batch-policy commit point)."""
-        if self.fs.exists(self.wal_path):
-            timed_fsync(self.fs, self.wal_path)
+        self.file.sync()
 
     @classmethod
     def reopen(
@@ -312,7 +263,7 @@ class DurableObjectbase:
         *,
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         retry: RetryPolicy | None = None,
     ) -> "DurableObjectbase":
         """Simulated restart: rebuild purely from durable state."""

@@ -1,12 +1,11 @@
-"""Deterministic fault injection for the durability path.
+"""Deterministic fault injection for the durability path (test support).
 
-The storage layer performs every mutating storage operation through a
-:class:`StorageFS` object.  :class:`RealFS` is the production filesystem
-implementation (thin wrappers over :mod:`os` / :mod:`pathlib`); the
-pluggable backends in :mod:`repro.storage.backend` implement the same
-primitives over other substrates (sqlite, a content-addressed object
-store).  :class:`FaultyFS` wraps *any* of them and injects the failure
-families the crash-matrix suite exercises:
+The storage layer performs every storage operation through a
+:class:`~repro.storage.backend.StorageBackend`.  :class:`FaultyFS` is a
+backend that wraps *any* other one (plain files, sqlite, the object
+store) and injects the failure families the crash-matrix suite
+exercises.  Production code never imports this module; it exists for
+the conformance suites and the durability benchmark.
 
 * **crash-at-boundary** — every mutating primitive exposes numbered
   *injection points* (before the effect, mid-write, ...).  Points are
@@ -77,11 +76,12 @@ restart, which the recovery tests cover directly.
 from __future__ import annotations
 
 import errno
-import os
 import threading
 from pathlib import Path
 
-__all__ = ["CrashPoint", "StorageFS", "RealFS", "FaultyFS"]
+from .backend import FileBackend, StorageBackend
+
+__all__ = ["CrashPoint", "FaultyFS"]
 
 
 class CrashPoint(Exception):
@@ -93,125 +93,12 @@ class CrashPoint(Exception):
     """
 
 
-class StorageFS:
-    """The storage primitives the durability path is allowed to use.
-
-    Implementations may keep "files" anywhere — POSIX paths, sqlite
-    rows, content-addressed segments — as long as the byte-stream
-    semantics hold: ``append_bytes`` extends, ``write_bytes`` replaces,
-    ``replace`` atomically renames, ``truncate`` cuts to a prefix.
-    The class-level capability probes describe what the substrate
-    guarantees *beyond* the primitives; :mod:`repro.storage.backend`
-    documents them and the conformance suite exercises them.
-    """
-
-    #: ``replace`` publishes all-or-nothing even across a crash.
-    supports_atomic_replace: bool = True
-    #: The backend can group primitives into one atomic transaction.
-    supports_transactions: bool = False
-    #: ``replace`` is durable by itself — no directory fsync needed.
-    durable_rename: bool = False
-    #: Every mutating primitive commits durably before returning
-    #: (transactional backends); fsync barriers are no-ops.
-    durable_writes: bool = False
-
-    def exists(self, path: Path) -> bool:
-        raise NotImplementedError
-
-    def size(self, path: Path) -> int:
-        raise NotImplementedError
-
-    def read_bytes(self, path: Path) -> bytes:
-        raise NotImplementedError
-
-    def append_bytes(self, path: Path, data: bytes) -> None:
-        raise NotImplementedError
-
-    def write_bytes(self, path: Path, data: bytes) -> None:
-        raise NotImplementedError
-
-    def replace(self, src: Path, dst: Path) -> None:
-        raise NotImplementedError
-
-    def truncate(self, path: Path, size: int) -> None:
-        raise NotImplementedError
-
-    def unlink(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def fsync_file(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def fsync_dir(self, path: Path) -> None:
-        raise NotImplementedError
-
-    def mkdirs(self, path: Path) -> None:
-        """Ensure a (logical) directory exists; no-op where the
-        substrate has no directories."""
-        raise NotImplementedError
-
-
-class RealFS(StorageFS):
-    """Production filesystem access (POSIX semantics assumed)."""
-
-    def exists(self, path: Path) -> bool:
-        return Path(path).exists()
-
-    def size(self, path: Path) -> int:
-        return os.path.getsize(path)
-
-    def read_bytes(self, path: Path) -> bytes:
-        return Path(path).read_bytes()
-
-    def append_bytes(self, path: Path, data: bytes) -> None:
-        with open(path, "ab") as fh:
-            fh.write(data)
-            fh.flush()
-
-    def write_bytes(self, path: Path, data: bytes) -> None:
-        with open(path, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-
-    def replace(self, src: Path, dst: Path) -> None:
-        os.replace(src, dst)
-
-    def truncate(self, path: Path, size: int) -> None:
-        os.truncate(path, size)
-
-    def unlink(self, path: Path) -> None:
-        Path(path).unlink(missing_ok=True)
-
-    def fsync_file(self, path: Path) -> None:
-        fd = os.open(path, os.O_RDWR)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-    def fsync_dir(self, path: Path) -> None:
-        # Durability of a rename needs the directory entry flushed too;
-        # best effort where the platform cannot fsync a directory.
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def mkdirs(self, path: Path) -> None:
-        Path(path).mkdir(parents=True, exist_ok=True)
-
-
 _ABSENT = object()  #: reorder-tracking marker: file did not exist
 
 
-class FaultyFS(StorageFS):
-    """A :class:`StorageFS` that fails on purpose (see module docstring).
+class FaultyFS(StorageBackend):
+    """A :class:`StorageBackend` that fails on purpose (see module
+    docstring).
 
     Parameters
     ----------
@@ -249,15 +136,16 @@ class FaultyFS(StorageFS):
         ``durable_writes`` backends, which cannot reorder.
     base:
         The real storage to delegate surviving operations to (defaults
-        to :class:`RealFS`).  Capability probes forward to it, so a
-        ``FaultyFS`` is transparently backend-generic.
+        to :class:`~repro.storage.backend.FileBackend`).  Capability
+        probes forward to it, so a ``FaultyFS`` is transparently
+        backend-generic.
     """
 
     def __init__(
         self,
         crash_at: int | None = None,
         fail_fsync: bool = False,
-        base: StorageFS | None = None,
+        base: StorageBackend | None = None,
         transient_fsync_failures: int = 0,
         transient_append_failures: int = 0,
         enospc_appends: int = 0,
@@ -266,7 +154,7 @@ class FaultyFS(StorageFS):
         backend_torn: bool = False,
         reorder: bool = False,
     ) -> None:
-        self.base = base or RealFS()
+        self.base = base or FileBackend()
         self.crash_at = crash_at
         self.fail_fsync = fail_fsync
         self.transient_fsync_failures = transient_fsync_failures
@@ -287,25 +175,24 @@ class FaultyFS(StorageFS):
 
     @property
     def supports_atomic_replace(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "supports_atomic_replace", True)
+        return self.base.supports_atomic_replace
 
     @property
     def supports_transactions(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "supports_transactions", False)
+        return self.base.supports_transactions
 
     @property
     def durable_rename(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "durable_rename", False)
+        return self.base.durable_rename
 
     @property
     def durable_writes(self) -> bool:  # type: ignore[override]
-        return getattr(self.base, "durable_writes", False)
+        return self.base.durable_writes
 
     def gc(self) -> int:
         """Forward substrate GC to the wrapped backend (never injected:
         GC is maintenance the owner runs, not a crash-path primitive)."""
-        collect = getattr(self.base, "gc", None)
-        return collect() if callable(collect) else 0
+        return self.base.gc()
 
     # -- injection scheduling (thread-safe) ----------------------------
 
@@ -531,16 +418,3 @@ class FaultyFS(StorageFS):
         if self._point(f"mkdir-pre:{Path(path).name}"):
             raise CrashPoint(f"crash before creating directory {path}")
         self.base.mkdirs(path)
-
-    # -- backend-shaped fault passthrough ------------------------------
-
-    def simulate_torn_append(self, path: Path, data: bytes) -> None:
-        """Forward the backend's torn-append hook (tests drive it
-        directly when composing fault layers)."""
-        hook = getattr(self.base, "simulate_torn_append", None)
-        if hook is None:
-            raise NotImplementedError(
-                "the wrapped backend has no backend-shaped torn-append "
-                "state"
-            )
-        hook(path, data)

@@ -1,11 +1,9 @@
 """Framed WAL records: checksummed framing, fenced checkpoints, salvage.
 
-The shared durability substrate under :mod:`repro.storage.journal` (the
-schema WAL) and :mod:`repro.storage.durable_store` (the objectbase WAL).
-Before this module existed, both kept private copies of the same
-line-scanning loop and detected torn tails only by JSON parse failure;
-now every record is *structurally* verifiable and both logs read through
-one :func:`read_log`.
+The durability substrate under :class:`repro.storage.journal.JournalFile`,
+the one WAL engine both durable stores (the schema WAL and the
+objectbase WAL) run on: every record is *structurally* verifiable and
+every log reads through one :func:`read_log`.
 
 Record framing
 --------------
@@ -46,13 +44,13 @@ classification:
 
 Checkpoint fencing
 ------------------
-:func:`write_checkpoint` writes ``{"format": 2, "generation": G,
-"state": ...}`` to a temp file, fsyncs it, :func:`os.replace`\\ s it into
-place and fsyncs the directory — atomic on POSIX.  Recovery replays only
-WAL records whose generation is at least the checkpoint's; a tail left
-behind by a crash before WAL truncation carries the previous generation
-and is fenced off.  A legacy checkpoint (the bare state dict) reads as
-generation 0.
+:func:`write_checkpoint` publishes ``{"format": 2, "generation": G,
+"state": ...}`` through :func:`~repro.storage.backend.atomic_write_bytes`
+(temp file, fsync, rename, directory fsync) — atomic on every backend.
+Recovery replays only WAL records whose generation is at least the
+checkpoint's; a tail left behind by a crash before WAL truncation
+carries the previous generation and is fenced off.  A legacy
+checkpoint (the bare state dict) reads as generation 0.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ from typing import Any, Callable
 
 from ..core.errors import CorruptRecordError, JournalError
 from ..obs.metrics import FSYNC_BUCKETS, REGISTRY
-from .faults import RealFS, StorageFS
+from .backend import FileBackend, StorageBackend, atomic_write_bytes
 
 __all__ = [
     "FRAME_MAGIC",
@@ -412,7 +410,7 @@ def scan_log(
 def read_log(
     path: Path,
     *,
-    fs: StorageFS | None = None,
+    fs: StorageBackend | None = None,
     mode: str = "strict",
     decode: Callable[[dict], Any] | None = None,
     repair: bool = False,
@@ -432,7 +430,7 @@ def read_log(
         raise ValueError(
             f"recovery mode must be one of {RECOVERY_MODES}, not {mode!r}"
         )
-    fs = fs or RealFS()
+    fs = fs or FileBackend()
     path = Path(path)
     report = SalvageReport(mode=mode, path=str(path))
     if not fs.exists(path):
@@ -465,7 +463,7 @@ def read_log(
 
 
 def _repair_in_place(
-    path: Path, fs: StorageFS, scan: LogScan, report: SalvageReport
+    path: Path, fs: StorageBackend, scan: LogScan, report: SalvageReport
 ) -> None:
     """Heal ``path`` to exactly its valid prefix (see :func:`read_log`)."""
     if scan.damage is not None:
@@ -521,7 +519,7 @@ def _repair_in_place(
         fs.append_bytes(path, b"\n")
 
 
-def timed_fsync(fs: StorageFS, path: Path) -> None:
+def timed_fsync(fs: StorageBackend, path: Path) -> None:
     """fsync ``path``, observed; an EIO becomes a typed JournalError."""
     started = perf_counter()
     try:
@@ -562,55 +560,45 @@ def write_checkpoint(
     state: dict,
     generation: int,
     *,
-    fs: StorageFS | None = None,
+    fs: StorageBackend | None = None,
     sync: bool = True,
 ) -> None:
-    """Atomically publish a checkpoint: temp file, fsync, rename, fsync
-    the directory.  A crash at any boundary leaves either the old or the
-    new checkpoint fully intact, never a torn hybrid."""
-    fs = fs or RealFS()
+    """Atomically publish a checkpoint document through
+    :func:`~repro.storage.backend.atomic_write_bytes`.  A crash at any
+    boundary leaves either the old or the new checkpoint fully intact,
+    never a torn hybrid; a failed write or fsync (disk full, EIO)
+    surfaces as a typed :class:`JournalError` with the old one intact."""
+    fs = fs or FileBackend()
     path = Path(path)
     doc = {
         "format": CHECKPOINT_FORMAT,
         "generation": generation,
         "state": state,
     }
-    tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        fs.write_bytes(tmp, json.dumps(doc, sort_keys=True).encode("utf-8"))
-        if sync:
-            timed_fsync(fs, tmp)
-        fs.replace(tmp, path)
-    except (OSError, JournalError) as exc:
-        # A failed temp write or fsync (disk full, EIO) never touched
-        # the real checkpoint: remove the partial temp so later
-        # recoveries see no residue, and surface a typed error with the
-        # old state intact.
-        try:
-            fs.unlink(tmp)
-        except OSError:
-            pass
-        if isinstance(exc, JournalError):
-            raise
+        atomic_write_bytes(
+            fs,
+            path,
+            json.dumps(doc, sort_keys=True).encode("utf-8"),
+            sync=sync,
+            fsync=lambda tmp: timed_fsync(fs, tmp),
+        )
+    except OSError as exc:
         raise JournalError(
             f"checkpoint write to {path} failed; the previous "
             f"checkpoint is intact: {exc}"
         ) from exc
-    if sync and not getattr(fs, "durable_rename", False):
-        # Backends whose rename is intrinsically durable (sqlite
-        # transactions, manifest swaps) need no directory fsync.
-        fs.fsync_dir(path.parent if str(path.parent) else Path("."))
 
 
 def load_checkpoint(
-    path: Path, *, fs: StorageFS | None = None
+    path: Path, *, fs: StorageBackend | None = None
 ) -> tuple[dict | None, int]:
     """Read a checkpoint, legacy or fenced: ``(state, generation)``.
 
     A missing checkpoint is ``(None, 0)``; a legacy checkpoint (the bare
     state dict, written before generations existed) is generation 0.
     """
-    fs = fs or RealFS()
+    fs = fs or FileBackend()
     path = Path(path)
     if not fs.exists(path):
         return None, 0

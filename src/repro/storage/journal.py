@@ -12,6 +12,14 @@ corrupt damage taxonomy, and checkpoint generation fencing), plus an
 atomically-replaced snapshot checkpoint that truncates the log (classic
 WAL + checkpoint).  Legacy unframed JSONL journals read transparently.
 
+:class:`JournalFile` is the one WAL engine of the storage layer.  A
+:class:`JournalCodec` tells it how to turn records and checkpoint state
+into JSON; everything else — framing, fencing, torn-tail heal, stale
+temp sweep, retry/latch, the replication fence hook, checkpoint publish,
+fsync policy, auto-checkpoints and WAL metrics — is shared by
+:class:`DurableLattice` (schema operations, this module) and
+:class:`~repro.storage.durable_store.DurableObjectbase` (manager calls).
+
 Durability is governed by a :class:`~repro.storage.framing.DurabilityPolicy`
 (fsync per append / per checkpoint / never, plus the auto-checkpoint
 thresholds) and recovery by a mode — ``strict`` raises on corruption,
@@ -23,9 +31,10 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Callable
+from typing import Any, Callable
 
 from ..core.config import LatticePolicy
 from ..core.errors import JournalError
@@ -33,10 +42,10 @@ from ..core.history import EvolutionJournal
 from ..core.lattice import TypeLattice
 from ..core.operations import SchemaOperation, operation_from_dict
 from ..obs.metrics import REGISTRY, SIZE_BUCKETS
-from .backend import resolve_storage_url
-from .faults import StorageFS
+from .backend import StorageBackend, resolve_storage_url
 from .framing import (
     DurabilityPolicy,
+    FramedRecord,
     SalvageReport,
     encode_frame,
     fence_records,
@@ -48,7 +57,7 @@ from .framing import (
 from .reliability import DegradedLatch, RetryPolicy, append_record
 from .snapshot import lattice_from_dict, lattice_to_dict
 
-__all__ = ["JournalFile", "DurableLattice"]
+__all__ = ["JournalCodec", "LATTICE_CODEC", "JournalFile", "DurableLattice"]
 
 logger = logging.getLogger(__name__)
 
@@ -80,28 +89,59 @@ _WAL_AUTO_CHECKPOINTS = REGISTRY.counter(
 )
 
 
+@dataclass(frozen=True)
+class JournalCodec:
+    """How one kind of journal maps records and state to JSON objects.
+
+    ``record_from_dict`` is also the semantic check of the framed-log
+    reader: raising :class:`ValueError`/:class:`KeyError`/
+    :class:`TypeError` marks a record corrupt (see
+    :mod:`repro.storage.framing`).
+    """
+
+    record_to_dict: Callable[[Any], dict]
+    record_from_dict: Callable[[dict], Any]
+    state_to_dict: Callable[[Any], dict]
+
+
+#: Schema operations over a :class:`TypeLattice` checkpoint.
+LATTICE_CODEC = JournalCodec(
+    record_to_dict=lambda operation: operation.to_dict(),
+    record_from_dict=operation_from_dict,
+    state_to_dict=lattice_to_dict,
+)
+
+
 class JournalFile:
-    """An append-only, checksummed operation log with checkpointing."""
+    """An append-only, checksummed record log with checkpointing.
+
+    ``codec`` selects the record and state types (schema operations and
+    a lattice by default); ``checkpoint_path`` defaults to the log path
+    plus ``.checkpoint``.
+    """
 
     def __init__(
         self,
         path: str | Path,
         *,
         durability: DurabilityPolicy | None = None,
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         retry: RetryPolicy | None = None,
+        codec: JournalCodec = LATTICE_CODEC,
+        checkpoint_path: Path | None = None,
     ) -> None:
         # A backend URL (sqlite:…, objstore:…, file:…) resolves to its
         # backend plus the logical journal path inside it; an explicit
         # ``fs`` always wins (fault injection, pre-built backends).
         target = resolve_storage_url(path, fs=fs)
         self.path = Path(target.path)
-        self.checkpoint_path = self.path.with_suffix(
+        self.checkpoint_path = checkpoint_path or self.path.with_suffix(
             self.path.suffix + ".checkpoint"
         )
         self.durability = durability or DurabilityPolicy()
         self.fs = target.fs
         self.retry = retry or RetryPolicy()
+        self.codec = codec
         self.latch = DegradedLatch(store=str(self.path))
         #: Optional write fence, checked before every append and
         #: checkpoint.  Replication installs the primary lease's
@@ -109,6 +149,9 @@ class JournalFile:
         #: :class:`~repro.core.errors.LeaseLostError` instead of
         #: extending a history the new primary has diverged from.
         self.fence: Callable[[], None] | None = None
+        #: Records appended (or replayed) since the last checkpoint —
+        #: the ``checkpoint_every`` counter.
+        self.since_checkpoint = 0
         self._generation: int | None = None
         self._tail_checked = False
 
@@ -142,8 +185,8 @@ class JournalFile:
             if data and not data.endswith(b"\n"):
                 self.repair("strict")
 
-    def append(self, operation: SchemaOperation) -> None:
-        """Append one framed operation record (fsync per policy).
+    def append(self, record: Any) -> None:
+        """Append one framed record (fsync per policy).
 
         Transient storage faults (an fsync EIO, a short write) are
         retried with rollback per :attr:`retry`; exhausted retries trip
@@ -156,7 +199,7 @@ class JournalFile:
         if self.fence is not None:
             self.fence()
         self._ensure_clean_tail()
-        payload = json.dumps(operation.to_dict(), sort_keys=True)
+        payload = json.dumps(self.codec.record_to_dict(record), sort_keys=True)
         append_record(
             self.fs,
             self.path,
@@ -168,28 +211,34 @@ class JournalFile:
                 if self.durability.sync_appends else None
             ),
         )
+        self.since_checkpoint += 1
         _WAL_APPENDS.inc()
         _WAL_APPEND_SECONDS.observe(perf_counter() - started)
 
-    def operations(self, mode: str = "strict") -> list[SchemaOperation]:
-        """The live logged operations, in order (read-only).
+    def operations(self, mode: str = "strict") -> list[Any]:
+        """The live logged records, decoded, in order (read-only).
 
         Torn trailing writes are tolerated and records fenced off by the
         checkpoint generation are skipped; structural corruption raises
         :class:`~repro.core.errors.CorruptRecordError` in strict mode.
-        A final record that parses but decodes to no valid operation is
-        *schema* corruption, not a torn write, and is treated as corrupt
-        no matter where it sits.
+        A final record that parses but decodes to no valid record is
+        *semantic* corruption, not a torn write, and is treated as
+        corrupt no matter where it sits.
         """
         records, _ = read_log(
-            self.path, fs=self.fs, mode=mode, decode=operation_from_dict
+            self.path, fs=self.fs, mode=mode,
+            decode=self.codec.record_from_dict,
         )
         live, _ = fence_records(records, self.generation)
         return [r.decoded for r in live]
 
     def repair(self, mode: str = "strict") -> SalvageReport:
         """Heal the log in place (truncate torn tails; in salvage mode,
-        quarantine corruption into a ``.corrupt`` sidecar).
+        quarantine corruption into a ``.corrupt`` sidecar)."""
+        return self._heal(mode)[1]
+
+    def _heal(self, mode: str) -> tuple[list[FramedRecord], SalvageReport]:
+        """:meth:`repair`, also returning the live (unfenced) records.
 
         Also removes a stale checkpoint temp file — residue of a crash
         (or torn rename) inside a checkpoint publish.  The real
@@ -208,18 +257,70 @@ class JournalFile:
             self.fs.unlink(stale_tmp)
         records, report = read_log(
             self.path, fs=self.fs, mode=mode,
-            decode=operation_from_dict, repair=True,
+            decode=self.codec.record_from_dict, repair=True,
         )
-        _, report.records_fenced = fence_records(records, self.generation)
+        live, report.records_fenced = fence_records(records, self.generation)
         if not report.clean:
             logger.warning("repair(%s): %s", mode, report.summary())
-        return report
+        return live, report
 
-    def checkpoint(self, lattice: TypeLattice) -> None:
-        """Fold the applied operations into an atomic snapshot.
+    def open(
+        self, mode: str = "strict"
+    ) -> tuple[dict | None, list[FramedRecord], SalvageReport]:
+        """Heal crash residue; return the checkpoint state, the live WAL
+        tail and the recovery report.
 
-        The checkpoint is written to a temp file, fsynced, renamed into
-        place and the directory fsynced; only then is the WAL truncated.
+        Opening is the mutating entry point, so the torn tail is healed
+        here (it must not swallow the next append).  The caller rebuilds
+        its state from the checkpoint and hands the tail to
+        :meth:`replay`.
+        """
+        state, self._generation = load_checkpoint(
+            self.checkpoint_path, fs=self.fs
+        )
+        live, report = self._heal(mode)
+        self._tail_checked = True
+        return state, live, report
+
+    def replay(
+        self,
+        records: list[FramedRecord],
+        apply: Callable[[list[FramedRecord]], None],
+        state: Any,
+    ) -> None:
+        """Replay an opened tail via ``apply`` into ``state``, metered.
+
+        When replaying took longer than the policy's
+        ``replay_budget_seconds``, ``state`` is checkpointed right away
+        so the next open does not pay for the same tail again.
+        """
+        started = perf_counter()
+        apply(records)
+        elapsed = perf_counter() - started
+        replayed = len(records)
+        self.since_checkpoint = replayed
+        if not replayed:
+            return
+        _WAL_REPLAY_OPS.inc(replayed)
+        _WAL_COALESCED.observe(replayed)
+        _WAL_REPLAY_SECONDS.observe(elapsed)
+        logger.info(
+            "replayed %d WAL record(s) from %s", replayed, self.path,
+        )
+        budget = self.durability.replay_budget_seconds
+        if budget is not None and elapsed > budget:
+            logger.info(
+                "replay took %.3fs (budget %.3fs): auto-checkpointing",
+                elapsed, budget,
+            )
+            self.checkpoint(state)
+            _WAL_AUTO_CHECKPOINTS.labels(reason="replay-budget").inc()
+
+    def checkpoint(self, state: Any) -> None:
+        """Fold the applied records into an atomic snapshot of ``state``.
+
+        The checkpoint is published atomically (temp file, fsync,
+        rename, directory fsync); only then is the WAL truncated.
         Records appended before the checkpoint carry an older generation
         than the one stamped into it, so a crash *between* the rename
         and the truncate cannot double-apply the tail on recovery — the
@@ -231,7 +332,7 @@ class JournalFile:
         sync = self.durability.sync_checkpoints
         write_checkpoint(
             self.checkpoint_path,
-            lattice_to_dict(lattice),
+            self.codec.state_to_dict(state),
             new_generation,
             fs=self.fs,
             sync=sync,
@@ -240,17 +341,30 @@ class JournalFile:
         self.fs.write_bytes(self.path, b"")
         if sync:
             timed_fsync(self.fs, self.path)
+        self.since_checkpoint = 0
         _WAL_CHECKPOINTS.inc()
         logger.info(
-            "checkpointed %d types to %s (generation %d); WAL truncated",
-            len(lattice), self.checkpoint_path, new_generation,
+            "checkpointed to %s (generation %d); WAL truncated",
+            self.checkpoint_path, new_generation,
         )
+
+    def maybe_checkpoint(self, state: Any) -> None:
+        """Checkpoint ``state`` when the policy's ``checkpoint_every``
+        records have been appended since the last checkpoint."""
+        every = self.durability.checkpoint_every
+        if every is not None and self.since_checkpoint >= every:
+            logger.info(
+                "auto-checkpoint after %d record(s) (policy: every %d)",
+                self.since_checkpoint, every,
+            )
+            self.checkpoint(state)
+            _WAL_AUTO_CHECKPOINTS.labels(reason="interval").inc()
 
     def recover(
         self, policy: LatticePolicy | None = None, mode: str = "strict"
     ) -> TypeLattice:
-        """Rebuild the lattice: load the checkpoint (if any), then replay
-        the live tail of the log."""
+        """Rebuild a schema journal's lattice (read-only): load the
+        checkpoint (if any), then replay the live tail of the log."""
         state, self._generation = load_checkpoint(
             self.checkpoint_path, fs=self.fs
         )
@@ -276,13 +390,7 @@ class JournalFile:
         acquiring its lease, or ``repro recover`` — never from a
         read-only or pre-fence open (see ``docs/storage.md``).
         """
-        collect = getattr(self.fs, "gc", None)
-        return collect() if callable(collect) else 0
-
-    def clear(self) -> None:
-        self.fs.unlink(self.path)
-        self.fs.unlink(self.checkpoint_path)
-        self._generation = 0
+        return self.fs.gc()
 
 
 class DurableLattice:
@@ -317,19 +425,13 @@ class DurableLattice:
         *,
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.file = JournalFile(
             path, durability=durability, fs=fs, retry=retry
         )
-        # Opening is the mutating entry point, so heal crash residue now
-        # (a torn tail must not swallow the next append).
-        self.recovery_report = self.file.repair(recovery)
-        state, generation = load_checkpoint(
-            self.file.checkpoint_path, fs=self.file.fs
-        )
-        self.file._generation = generation
+        state, live, self.recovery_report = self.file.open(recovery)
         base = (
             lattice_from_dict(state) if state is not None
             else TypeLattice(policy)
@@ -337,29 +439,11 @@ class DurableLattice:
         # Replay the WAL tail *through* the in-memory journal so history
         # (and undo) survive a restart.
         self.journal = EvolutionJournal(lattice=base)
-        started = perf_counter()
-        replayed = 0
-        for op in self.file.operations(recovery):
-            self.journal.apply(op)
-            replayed += 1
-        elapsed = perf_counter() - started
-        self._since_checkpoint = replayed
-        if replayed:
-            _WAL_REPLAY_OPS.inc(replayed)
-            _WAL_COALESCED.observe(replayed)
-            _WAL_REPLAY_SECONDS.observe(elapsed)
-            logger.info(
-                "replayed %d WAL operation(s) from %s (coalesced into one "
-                "deferred derivation pass)", replayed, self.file.path,
-            )
-        budget = self.file.durability.replay_budget_seconds
-        if replayed and budget is not None and elapsed > budget:
-            logger.info(
-                "replay took %.3fs (budget %.3fs): auto-checkpointing",
-                elapsed, budget,
-            )
-            self.checkpoint()
-            _WAL_AUTO_CHECKPOINTS.labels(reason="replay-budget").inc()
+        self.file.replay(live, self._replay, base)
+
+    def _replay(self, records: list[FramedRecord]) -> None:
+        for record in records:
+            self.journal.apply(record.decoded)
 
     @property
     def lattice(self) -> TypeLattice:
@@ -378,8 +462,7 @@ class DurableLattice:
         operation.validate(self.lattice)
         self.file.append(operation)
         result = self.journal.apply(operation)
-        self._since_checkpoint += 1
-        self._maybe_auto_checkpoint()
+        self.file.maybe_checkpoint(self.lattice)
         return result
 
     def apply_all(self, operations):
@@ -399,24 +482,12 @@ class DurableLattice:
         entry = self.journal.entries[-1]
         for op in entry.inverse:
             self.file.append(op)
-            self._since_checkpoint += 1
         result = self.journal.undo()
-        self._maybe_auto_checkpoint()
+        self.file.maybe_checkpoint(self.lattice)
         return result
-
-    def _maybe_auto_checkpoint(self) -> None:
-        every = self.file.durability.checkpoint_every
-        if every is not None and self._since_checkpoint >= every:
-            logger.info(
-                "auto-checkpoint after %d record(s) (policy: every %d)",
-                self._since_checkpoint, every,
-            )
-            self.checkpoint()
-            _WAL_AUTO_CHECKPOINTS.labels(reason="interval").inc()
 
     def checkpoint(self) -> None:
         self.file.checkpoint(self.lattice)
-        self._since_checkpoint = 0
 
     def sync(self) -> None:
         """Flush appended records to disk (the batch-policy commit point)."""
@@ -435,7 +506,7 @@ class DurableLattice:
         *,
         durability: DurabilityPolicy | None = None,
         recovery: str = "strict",
-        fs: StorageFS | None = None,
+        fs: StorageBackend | None = None,
         retry: RetryPolicy | None = None,
     ) -> "DurableLattice":
         """Simulated restart: rebuild purely from durable state."""

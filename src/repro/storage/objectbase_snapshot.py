@@ -26,8 +26,7 @@ from ..tigukat.functions import Function, FunctionKind
 from ..tigukat.objects import TigukatObject
 from ..tigukat.primitive import PRIMITIVE_TYPE_BEHAVIORS
 from ..tigukat.store import Objectbase
-from .backend import atomic_write_bytes
-from .faults import RealFS, StorageFS
+from .backend import FileBackend, StorageBackend, atomic_write_bytes
 from .snapshot import FORMAT_VERSION, lattice_from_dict, lattice_to_dict
 
 __all__ = ["objectbase_to_dict", "objectbase_from_dict",
@@ -257,13 +256,13 @@ def objectbase_from_dict(
 
 
 def save_objectbase(
-    store: Objectbase, path: str | Path, *, fs: StorageFS | None = None
+    store: Objectbase, path: str | Path, *, fs: StorageBackend | None = None
 ) -> Path:
     """Write a whole-store snapshot atomically (temp file + rename,
     through the storage backend's primitives)."""
     path = Path(path)
     atomic_write_bytes(
-        fs or RealFS(),
+        fs or FileBackend(),
         path,
         json.dumps(
             objectbase_to_dict(store), indent=2, sort_keys=True
@@ -277,9 +276,9 @@ def load_objectbase(
     path: str | Path,
     computed_bodies: dict[str, Callable[..., Any]] | None = None,
     *,
-    fs: StorageFS | None = None,
+    fs: StorageBackend | None = None,
 ) -> Objectbase:
-    fs = fs or RealFS()
+    fs = fs or FileBackend()
     return objectbase_from_dict(
         json.loads(fs.read_bytes(Path(path)).decode("utf-8")),
         computed_bodies,

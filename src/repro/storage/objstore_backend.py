@@ -69,8 +69,7 @@ import time
 from pathlib import Path
 
 from ..obs.metrics import REGISTRY
-from .backend import StorageBackend, atomic_write_bytes
-from .faults import RealFS
+from .backend import FileBackend, StorageBackend, atomic_write_bytes
 
 __all__ = ["ObjectStoreBackend", "DEFAULT_GC_GRACE"]
 
@@ -111,7 +110,7 @@ class ObjectStoreBackend(StorageBackend):
         self.manifest_path = self.root / "manifest.json"
         self.sync = sync
         self.gc_grace = gc_grace
-        self._disk = RealFS()
+        self._disk = FileBackend()
         self._lock = threading.RLock()
         self.segments_dir.mkdir(parents=True, exist_ok=True)
         #: Orphan segments collected at construction when the caller
@@ -167,7 +166,7 @@ class ObjectStoreBackend(StorageBackend):
             )
         return entry
 
-    # -- StorageFS primitives -------------------------------------------
+    # -- StorageBackend primitives -------------------------------------------
 
     def exists(self, path: Path) -> bool:
         with self._lock:

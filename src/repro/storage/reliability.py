@@ -39,7 +39,7 @@ from typing import Callable, TypeVar
 
 from ..core.errors import CorruptRecordError, DegradedModeError, JournalError
 from ..obs.metrics import REGISTRY
-from .faults import StorageFS
+from .backend import StorageBackend
 
 __all__ = [
     "RetryPolicy",
@@ -214,7 +214,7 @@ class DegradedLatch:
 
 
 def append_record(
-    fs: StorageFS,
+    fs: StorageBackend,
     path: Path,
     data: bytes,
     *,

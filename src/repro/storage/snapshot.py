@@ -18,8 +18,7 @@ from ..core.config import EssentialityDefault, LatticePolicy
 from ..core.errors import JournalError
 from ..core.lattice import TypeLattice
 from ..core.properties import Property
-from .backend import atomic_write_bytes
-from .faults import RealFS, StorageFS
+from .backend import FileBackend, StorageBackend, atomic_write_bytes
 
 __all__ = [
     "lattice_to_dict",
@@ -136,7 +135,7 @@ def lattice_from_dict(data: dict[str, Any]) -> TypeLattice:
 
 
 def save_lattice(
-    lattice: TypeLattice, path: str | Path, *, fs: StorageFS | None = None
+    lattice: TypeLattice, path: str | Path, *, fs: StorageBackend | None = None
 ) -> Path:
     """Write a snapshot file atomically; returns the path.
 
@@ -146,7 +145,7 @@ def save_lattice(
     """
     path = Path(path)
     atomic_write_bytes(
-        fs or RealFS(),
+        fs or FileBackend(),
         path,
         json.dumps(
             lattice_to_dict(lattice), indent=2, sort_keys=True
@@ -157,10 +156,10 @@ def save_lattice(
 
 
 def load_lattice(
-    path: str | Path, *, fs: StorageFS | None = None
+    path: str | Path, *, fs: StorageBackend | None = None
 ) -> TypeLattice:
     """Load a snapshot file back into a lattice."""
-    fs = fs or RealFS()
+    fs = fs or FileBackend()
     return lattice_from_dict(
         json.loads(fs.read_bytes(Path(path)).decode("utf-8"))
     )

@@ -189,7 +189,7 @@ class SqliteBackend(StorageBackend):
             (key, data),
         )
 
-    # -- StorageFS primitives -------------------------------------------
+    # -- StorageBackend primitives -------------------------------------------
 
     def exists(self, path: Path) -> bool:
         key = self._key(path)

@@ -16,7 +16,6 @@ from repro.core.errors import JournalError
 from repro.storage import (
     FileBackend,
     ObjectStoreBackend,
-    RealFS,
     SqliteBackend,
     StorageBackend,
     atomic_write_bytes,
@@ -69,7 +68,7 @@ class TestResolveStorageUrl:
     def test_explicit_fs_always_wins(self, tmp_path):
         # Fault injection and pre-built backends pass fs directly; the
         # path is then used verbatim, no URL resolution.
-        fs = RealFS()
+        fs = FileBackend()
         target = resolve_storage_url(tmp_path / "wal", fs=fs)
         assert target.fs is fs
         assert target.path == tmp_path / "wal"

@@ -224,3 +224,56 @@ class TestWriteAhead:
         assert reopened._seq == seq
         reopened.execute("al", "panel", "T_person")
         assert reopened._seq == seq + 1
+
+
+def counter(name: str) -> float:
+    from repro.obs.metrics import REGISTRY
+
+    return REGISTRY.get(name).value
+
+
+class TestSharedJournalEngine:
+    """Behaviour the objectbase store gets from the shared WAL engine."""
+
+    def test_replay_budget_folds_tail_into_snapshot(self, tmp_path):
+        from repro.storage import DurabilityPolicy
+
+        durable = DurableObjectbase(tmp_path / "db")
+        build(durable)
+        assert durable.wal_path.stat().st_size > 0
+        reopened = DurableObjectbase.reopen(
+            tmp_path / "db",
+            durability=DurabilityPolicy(replay_budget_seconds=0.0),
+        )
+        # Any replay exceeds a zero budget: the tail was folded away.
+        assert durable.wal_path.read_bytes() == b""
+        assert (tmp_path / "db" / "objectbase.json").exists()
+        again = DurableObjectbase.reopen(tmp_path / "db")
+        assert (
+            again.store.lattice.state_fingerprint()
+            == reopened.store.lattice.state_fingerprint()
+            == durable.store.lattice.state_fingerprint()
+        )
+
+    def test_stale_snapshot_temp_swept_on_open(self, tmp_path):
+        durable = DurableObjectbase(tmp_path / "db")
+        build(durable)
+        durable.checkpoint()
+        stale = tmp_path / "db" / "objectbase.json.tmp"
+        stale.write_bytes(b'{"format": 2, "generation": 9, "st')
+        reopened = DurableObjectbase.reopen(tmp_path / "db")
+        assert not stale.exists()
+        assert "T_student" in reopened.store.lattice
+
+    def test_execute_counts_wal_appends(self, tmp_path):
+        durable = DurableObjectbase(tmp_path / "db")
+        before = counter("repro_wal_appends_total")
+        durable.execute("define_stored_behavior", "p.name", "name", "T_string")
+        assert counter("repro_wal_appends_total") == before + 1
+
+    def test_checkpoint_counts_wal_checkpoints(self, tmp_path):
+        durable = DurableObjectbase(tmp_path / "db")
+        build(durable)
+        before = counter("repro_wal_checkpoints_total")
+        durable.checkpoint()
+        assert counter("repro_wal_checkpoints_total") == before + 1

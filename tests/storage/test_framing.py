@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.core.errors import CorruptRecordError, JournalError
-from repro.storage.faults import FaultyFS, RealFS
+from repro.storage.backend import FileBackend
+from repro.storage.faults import FaultyFS
 from repro.storage.framing import (
     DurabilityPolicy,
     encode_frame,
@@ -223,6 +224,6 @@ class TestTimedFsync:
     def test_failure_surfaces_as_journal_error(self, tmp_path):
         p = tmp_path / "f"
         p.write_bytes(b"x")
-        fs = FaultyFS(fail_fsync=True, base=RealFS())
+        fs = FaultyFS(fail_fsync=True, base=FileBackend())
         with pytest.raises(JournalError, match="fsync"):
             timed_fsync(fs, p)
