@@ -1,8 +1,8 @@
 """The primary's side of replication: tail the durable WAL, ship it.
 
 :class:`ReplicationSource` reads the primary's own on-disk WAL and
-checkpoint (the same files :class:`~repro.storage.journal.JournalFile`
-writes, through the same
+checkpoint through a read-only :class:`~repro.storage.journal.JournalFile`
+(the engine that writes them, over the same
 :class:`~repro.storage.backend.StorageBackend` seam).  That "ship only
 what is on disk" rule is the heart of the committed-prefix invariant:
 a record that was acknowledged but not yet durable *cannot* reach a
@@ -34,7 +34,6 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from time import monotonic
@@ -43,11 +42,11 @@ from typing import Callable
 from ..core.errors import ReplicationError
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import StorageBackend, resolve_storage_url
-from ..storage.framing import load_checkpoint, scan_log
+from ..storage.backend import StorageBackend
+from ..storage.journal import JournalFile
 from .channel import Channel, ChannelClosed
 from .lease import FileLease
-from .protocol import PROTOCOL_VERSION, Position
+from .protocol import PROTOCOL_VERSION, Position, frames_crc
 
 __all__ = ["ReplicationSource", "ReplicationServer", "SourceState"]
 
@@ -96,12 +95,7 @@ class ReplicationSource:
     ) -> None:
         # Accepts the same backend URLs as Objectbase.open, so the
         # shipper reads the WAL through the very backend that wrote it.
-        target = resolve_storage_url(path, fs=fs)
-        self.path = Path(target.path)
-        self.checkpoint_path = self.path.with_suffix(
-            self.path.suffix + ".checkpoint"
-        )
-        self.fs = target.fs
+        self.journal = JournalFile(path, fs=fs)
         self._cache_key: tuple[int, int] | None = None
         self._cache: SourceState | None = None
         self._lock = threading.Lock()
@@ -113,42 +107,27 @@ class ReplicationSource:
         not part of the valid prefix yet and ships on the next poll.
         """
         with self._lock:
-            cp_size = (
-                self.fs.size(self.checkpoint_path)
-                if self.fs.exists(self.checkpoint_path) else -1
+            fs = self.journal.fs
+            key = tuple(
+                fs.size(path) if fs.exists(path) else -1
+                for path in (self.journal.checkpoint_path, self.journal.path)
             )
-            wal_size = (
-                self.fs.size(self.path) if self.fs.exists(self.path) else -1
-            )
-            key = (cp_size, wal_size)
             if self._cache is not None and key == self._cache_key:
                 return self._cache
-            _, generation = load_checkpoint(self.checkpoint_path, fs=self.fs)
-            data = (
-                self.fs.read_bytes(self.path) if wal_size >= 0 else b""
-            )
-            scan = scan_log(data)
-            frames = tuple(
-                data[r.offset:r.end].rstrip(b"\n") + b"\n"
-                for r in scan.records
-                if r.generation is None or r.generation >= generation
-            )
-            self._cache = SourceState(generation=generation, frames=frames)
+            generation, frames = self.journal.live_frames()
+            self._cache = SourceState(generation, tuple(frames))
             self._cache_key = key
             return self._cache
 
     def checkpoint_state(self) -> tuple[dict | None, int]:
         """The full checkpoint document for a state ship."""
-        return load_checkpoint(self.checkpoint_path, fs=self.fs)
+        return self.journal.read_checkpoint()
 
     @staticmethod
     def prefix_crc(state: SourceState, index: int) -> int:
         """CRC-32 of the first ``index`` shipped frames — the prefix
         fingerprint replicas present at handshake."""
-        crc = 0
-        for frame in state.frames[:index]:
-            crc = zlib.crc32(frame, crc)
-        return crc & 0xFFFFFFFF
+        return frames_crc(state.frames[:index])
 
 
 class ReplicationServer:

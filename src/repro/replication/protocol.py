@@ -54,7 +54,8 @@ is *durable* — derived purely from on-disk state, comparable across
 processes — unlike the in-memory ``lattice.generation`` counter.  The
 primary only ever ships bytes that are on disk in its own WAL, which is
 what makes "the replica serves a committed prefix of the primary's
-history" an invariant rather than an aspiration.
+history" an invariant rather than an aspiration.  Both sides
+fingerprint a WAL prefix with :func:`frames_crc`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..core.errors import ReplicationError
 
@@ -72,6 +74,7 @@ __all__ = [
     "Position",
     "encode_message",
     "decode_payload",
+    "frames_crc",
     "HEADER",
 ]
 
@@ -113,6 +116,14 @@ class Position:
     @property
     def zero(self) -> bool:
         return self.generation == 0 and self.index == 0
+
+
+def frames_crc(frames: Iterable[bytes], crc: int = 0) -> int:
+    """CRC-32 of newline-terminated WAL frames, continuing from ``crc``
+    — the prefix fingerprint exchanged at handshake."""
+    for frame in frames:
+        crc = zlib.crc32(frame, crc)
+    return crc & 0xFFFFFFFF
 
 
 def encode_message(message: dict) -> bytes:

@@ -1,13 +1,14 @@
 """The replica: a durable WAL mirror replayed into lock-free snapshots.
 
-:class:`ReplicaStore` owns the replica's local files — the *same* WAL +
-checkpoint layout as a primary, holding verbatim copies of the shipped
-frames — and the published :class:`~repro.concurrent.SchemaSnapshot`
-readers serve from.  Durability before visibility: every shipped record
-is appended to the local WAL *before* it is applied and published, so a
-replica that crashes mid-replay recovers (by the ordinary storage-layer
-recovery) to exactly the prefix it had acknowledged, and resumes from
-there.
+:class:`ReplicaStore` owns the replica's local files — a
+:class:`~repro.storage.journal.JournalFile` holding verbatim copies of
+the shipped frames — and the published
+:class:`~repro.concurrent.SchemaSnapshot` readers serve from.
+Durability before visibility: every shipped record is appended to the
+local WAL *before* a snapshot shows it, so a replica that crashes
+mid-replay recovers to exactly the prefix it had acknowledged, and
+resumes from there.  The engine retries transient storage faults; a
+fault that outlasts them leaves the store rebuilt from disk.
 
 :class:`ReplicationClient` is the background thread that keeps the
 store fed: connect, handshake with the durable position and prefix CRC,
@@ -40,7 +41,7 @@ import logging
 import socket
 import threading
 import time
-import zlib
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -48,6 +49,7 @@ from ..concurrent import SchemaSnapshot
 from ..core.config import LatticePolicy
 from ..core.errors import (
     CorruptRecordError,
+    DegradedModeError,
     EvolutionError,
     JournalError,
     ReplicaDivergedError,
@@ -55,21 +57,16 @@ from ..core.errors import (
     StaleEpochError,
 )
 from ..core.lattice import TypeLattice
-from ..core.operations import operation_from_dict
+from ..core.operations import SchemaOperation, operation_from_dict
 from ..obs.metrics import REGISTRY
 from ..obs.tracing import trace
-from ..storage.backend import StorageBackend, resolve_storage_url
-from ..storage.framing import (
-    DurabilityPolicy,
-    frame_payload,
-    load_checkpoint,
-    read_log,
-    timed_fsync,
-    write_checkpoint,
-)
+from ..storage.backend import StorageBackend
+from ..storage.framing import DurabilityPolicy, SalvageReport, frame_payload
+from ..storage.journal import LATTICE_CODEC, JournalFile
 from ..storage.reliability import RetryPolicy
+from ..storage.snapshot import lattice_from_dict
 from .channel import Channel, ChannelClosed
-from .protocol import PROTOCOL_VERSION, Position
+from .protocol import PROTOCOL_VERSION, Position, frames_crc
 
 __all__ = ["ReplicaStore", "ReplicationClient"]
 
@@ -105,6 +102,11 @@ _DIVERGENCES = REGISTRY.counter(
 )
 
 
+#: The replica mirrors the primary's documents: a shipped checkpoint
+#: state is already JSON and is published verbatim.
+_MIRROR_CODEC = replace(LATTICE_CODEC, state_to_dict=lambda state: state)
+
+
 class ReplicaStore:
     """The replica's durable state + published read snapshot.
 
@@ -112,7 +114,8 @@ class ReplicaStore:
     (``snapshot``/``card``/``types``/``degraded``) so the HTTP service
     can serve from either interchangeably.  All mutation comes from the
     replication client thread; a mutex serializes it against the
-    re-load in :meth:`reload`.
+    re-load in :meth:`reload`.  The outcome of the last load is in
+    :attr:`recovery_report`.
     """
 
     def __init__(
@@ -123,20 +126,18 @@ class ReplicaStore:
         durability: DurabilityPolicy | None = None,
         fs: StorageBackend | None = None,
     ) -> None:
-        # Replicas mirror into any backend too (same URL forms).
-        target = resolve_storage_url(path, fs=fs)
-        self.path = Path(target.path)
-        self.checkpoint_path = self.path.with_suffix(
-            self.path.suffix + ".checkpoint"
-        )
         self.policy = policy
-        self.durability = durability or DurabilityPolicy()
-        self.fs = target.fs
+        # Replicas mirror into any backend too (same URL forms).  Only
+        # the fsync policy applies: checkpoints are the primary's, shipped.
+        self.file = JournalFile(
+            path, durability=durability, fs=fs, codec=_MIRROR_CODEC
+        )
         self._mutex = threading.Lock()
         self._lattice: TypeLattice
         self._snapshot: SchemaSnapshot
         self._position = Position(0, 0)
         self._tail_crc = 0
+        self.recovery_report: SalvageReport
         self.reload()
 
     # -- lock-free read surface ----------------------------------------
@@ -183,41 +184,23 @@ class ReplicaStore:
         """(Re)build the lattice and position from local durable state —
         process start and crash recovery share this one path."""
         with self._mutex:
-            state, generation = load_checkpoint(
-                self.checkpoint_path, fs=self.fs
-            )
-            lattice = (
-                _lattice_from_state(state) if state is not None
-                else TypeLattice(self.policy)
-            )
-            records, report = read_log(
-                self.path, fs=self.fs, mode="salvage",
-                decode=operation_from_dict, repair=True,
-            )
-            if not report.clean:
-                logger.warning(
-                    "replica WAL healed on reload: %s", report.summary()
-                )
-            crc = 0
-            live = 0
-            data = (
-                self.fs.read_bytes(self.path)
-                if self.fs.exists(self.path) else b""
-            )
-            for record in records:
-                if (
-                    record.generation is not None
-                    and record.generation < generation
-                ):
-                    continue
-                record.decoded.apply(lattice)
-                frame = data[record.offset:record.end].rstrip(b"\n") + b"\n"
-                crc = _crc32(frame, crc)
-                live += 1
-            self._lattice = lattice
-            self._position = Position(generation, live)
-            self._tail_crc = crc
-            self._snapshot = SchemaSnapshot.capture(lattice)
+            self._load()
+
+    def _load(self) -> None:
+        if self.file.degraded:
+            self.file.latch.clear()  # a fresh open starts writable
+        state, live, self.recovery_report = self.file.open("salvage")
+        lattice = (
+            lattice_from_dict(state) if state is not None
+            else TypeLattice(self.policy)
+        )
+        for record in live:
+            record.decoded.apply(lattice)
+        generation, frames = self.file.live_frames()
+        self._lattice = lattice
+        self._position = Position(generation, len(frames))
+        self._tail_crc = frames_crc(frames)
+        self._snapshot = SchemaSnapshot.capture(lattice)
 
     def install_checkpoint(self, state: dict | None, generation: int) -> None:
         """Replace everything with a shipped checkpoint (full resync)."""
@@ -225,21 +208,10 @@ class ReplicaStore:
             with trace.span(
                 "replication.install-checkpoint", generation=generation
             ):
-                write_checkpoint(
-                    self.checkpoint_path, state, generation,
-                    fs=self.fs, sync=self.durability.sync_checkpoints,
-                )
-                self.fs.write_bytes(self.path, b"")
-                if self.durability.sync_checkpoints:
-                    timed_fsync(self.fs, self.path)
-                lattice = (
-                    _lattice_from_state(state) if state is not None
-                    else TypeLattice(self.policy)
-                )
-                self._lattice = lattice
-                self._position = Position(generation, 0)
-                self._tail_crc = 0
-                self._snapshot = SchemaSnapshot.capture(lattice)
+                try:
+                    self.file.checkpoint(state, generation)
+                finally:
+                    self._load()  # whatever reached the disk, and only that
         _CHECKPOINTS_INSTALLED.inc()
         logger.info(
             "installed shipped checkpoint generation %d (%d type(s))",
@@ -257,7 +229,8 @@ class ReplicaStore:
         own checksum fails (channel damage the envelope CRC missed --
         still structurally caught), and :class:`ReplicaDivergedError`
         when a structurally valid record will not apply (local state is
-        not the prefix it claimed to be; resync).
+        not the prefix it claimed to be; resync).  After any failure past
+        decoding the store has rebuilt itself from disk.
         """
         with self._mutex:
             expected = self._position
@@ -267,74 +240,52 @@ class ReplicaStore:
                     f"out-of-order batch: stream offers "
                     f"{generation}:{from_index}, replica is at {expected}"
                 )
-            applied = 0
             with trace.span(
                 "replication.replay", records=len(frames),
                 position=str(expected),
             ):
-                for text in frames:
-                    frame = text.rstrip("\n").encode("utf-8") + b"\n"
-                    payload = frame_payload(frame)  # verifies frame CRC
-                    try:
-                        operation = operation_from_dict(payload)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        raise ReplicaDivergedError(
-                            f"shipped record decodes to no operation: {exc}"
-                        ) from exc
-                    # Durability before visibility: land the frame, then
-                    # apply.  A crash between the two replays it on
-                    # reload — same write-ahead contract as the primary.
-                    size_before = (
-                        self.fs.size(self.path)
-                        if self.fs.exists(self.path) else 0
-                    )
-                    try:
-                        self.fs.append_bytes(self.path, frame)
-                        if self.durability.sync_appends:
-                            timed_fsync(self.fs, self.path)
-                    except OSError:
-                        # Roll partial bytes back so the next batch does
-                        # not land on top of a torn line; if even that
-                        # fails, reload() heals it as a torn tail.
+                batch = [_decode(text) for text in frames]
+                try:
+                    for frame, operation in batch:
+                        # Apply to the unpublished lattice first, so a
+                        # record the engine rejects is never written;
+                        # no snapshot shows it before it is durable.
                         try:
-                            self.fs.truncate(self.path, size_before)
-                        except OSError:  # pragma: no cover
-                            pass
-                        raise
-                    try:
-                        operation.apply(self._lattice)
-                    except EvolutionError as exc:
-                        # Roll the unapplied frame back out so durable
-                        # state matches the published prefix exactly.
-                        self.fs.truncate(self.path, size_before)
-                        _DIVERGENCES.inc()
-                        raise ReplicaDivergedError(
-                            f"shipped record rejected by the engine at "
-                            f"{self._position}: {exc}"
-                        ) from exc
-                    self._tail_crc = _crc32(frame, self._tail_crc)
-                    self._position = Position(
-                        self._position.generation,
-                        self._position.index + 1,
-                    )
-                    applied += 1
-            if applied and self.durability.fsync == "batch":
-                timed_fsync(self.fs, self.path)
+                            operation.apply(self._lattice)
+                        except EvolutionError as exc:
+                            _DIVERGENCES.inc()
+                            raise ReplicaDivergedError(
+                                f"shipped record rejected by the engine "
+                                f"past {expected}: {exc}"
+                            ) from exc
+                        self.file.append_frame(frame)
+                    if batch and self.file.durability.fsync == "batch":
+                        self.file.sync()
+                except (EvolutionError, OSError):
+                    self._load()
+                    raise
+            self._position = Position(
+                generation, expected.index + len(batch)
+            )
+            self._tail_crc = frames_crc(
+                (frame for frame, _ in batch), self._tail_crc
+            )
             self._snapshot = SchemaSnapshot.capture(
                 self._lattice, self._snapshot
             )
-        _REPLAYED.inc(applied)
-        return applied
+        _REPLAYED.inc(len(batch))
+        return len(batch)
 
 
-def _crc32(data: bytes, crc: int = 0) -> int:
-    return zlib.crc32(data, crc) & 0xFFFFFFFF
-
-
-def _lattice_from_state(state: dict) -> TypeLattice:
-    from ..storage.snapshot import lattice_from_dict
-
-    return lattice_from_dict(state)
+def _decode(text: str) -> tuple[bytes, SchemaOperation]:
+    """A shipped frame's bytes and operation (the frame CRC verified)."""
+    frame = text.rstrip("\n").encode("utf-8") + b"\n"
+    try:
+        return frame, operation_from_dict(frame_payload(frame))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ReplicaDivergedError(
+            f"shipped record decodes to no operation: {exc}"
+        ) from exc
 
 
 class ReplicationClient(threading.Thread):
@@ -458,7 +409,7 @@ class ReplicationClient(threading.Thread):
                 self.last_error = str(exc)
                 _QUARANTINED_STREAMS.inc()
                 logger.warning("replication stream quarantined: %s", exc)
-            except (OSError, JournalError) as exc:
+            except (OSError, JournalError, DegradedModeError) as exc:
                 self.last_error = str(exc)
                 logger.info("replication connection failed: %s", exc)
             finally:

@@ -277,8 +277,14 @@ def frame_payload(line: str | bytes) -> dict:
     raw = line.encode("utf-8") if isinstance(line, str) else line
     record, reason = _parse_line(raw.rstrip(b"\n"), None, 1)
     if record is None:
+        _count_crc_failure(reason)
         raise CorruptRecordError(f"bad WAL frame: {reason}")
     return record.payload
+
+
+def _count_crc_failure(reason: str | None) -> None:
+    if reason and reason.startswith(("length mismatch", "checksum mismatch")):
+        _CRC_FAILURES.inc()
 
 
 def _parse_line(
@@ -307,13 +313,11 @@ def _parse_line(
             return None, "unparseable frame header"
         payload = parts[4]
         if len(payload) != length:
-            _CRC_FAILURES.inc()
             return None, (
                 f"length mismatch: header says {length}, "
                 f"line carries {len(payload)}"
             )
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            _CRC_FAILURES.inc()
             return None, f"checksum mismatch (expected {crc:08x})"
     else:
         payload = line
@@ -347,8 +351,9 @@ def scan_log(
 ) -> LogScan:
     """Classify a log's bytes into a valid prefix plus optional damage.
 
-    Never raises and never touches the filesystem — pure classification;
-    :func:`read_log` applies the recovery-mode policy on top.
+    Never raises and touches neither the filesystem nor the metrics —
+    pure classification; :func:`read_log` applies the recovery-mode
+    policy (and the accounting) on top.
     """
     records: list[FramedRecord] = []
     damage: LogDamage | None = None
@@ -439,6 +444,7 @@ def read_log(
     scan = scan_log(data, decode)
     report.records_recovered = len(scan.records)
     if scan.damage is not None:
+        _count_crc_failure(scan.damage.reason)
         report.damage_reason = (
             f"line {scan.damage.lineno}: {scan.damage.reason}"
         )

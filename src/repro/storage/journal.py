@@ -12,13 +12,15 @@ corrupt damage taxonomy, and checkpoint generation fencing), plus an
 atomically-replaced snapshot checkpoint that truncates the log (classic
 WAL + checkpoint).  Legacy unframed JSONL journals read transparently.
 
-:class:`JournalFile` is the one WAL engine of the storage layer.  A
-:class:`JournalCodec` tells it how to turn records and checkpoint state
-into JSON; everything else — framing, fencing, torn-tail heal, stale
-temp sweep, retry/latch, the replication fence hook, checkpoint publish,
-fsync policy, auto-checkpoints and WAL metrics — is shared by
-:class:`DurableLattice` (schema operations, this module) and
-:class:`~repro.storage.durable_store.DurableObjectbase` (manager calls).
+:class:`JournalFile` is the one WAL engine.  A :class:`JournalCodec`
+tells it how to turn records and checkpoint state into JSON; everything
+else — framing, fencing, torn-tail heal, stale temp sweep, retry/latch,
+the replication fence hook, checkpoint publish, fsync policy,
+auto-checkpoints and WAL metrics — is shared by :class:`DurableLattice`
+(schema operations, this module),
+:class:`~repro.storage.durable_store.DurableObjectbase` (manager calls)
+and both sides of replication (the primary's shipper tails the log via
+:meth:`JournalFile.live_frames`; a replica mirrors the shipped frames).
 
 Durability is governed by a :class:`~repro.storage.framing.DurabilityPolicy`
 (fsync per append / per checkpoint / never, plus the auto-checkpoint
@@ -51,6 +53,7 @@ from .framing import (
     fence_records,
     load_checkpoint,
     read_log,
+    scan_log,
     timed_fsync,
     write_checkpoint,
 )
@@ -164,10 +167,34 @@ class JournalFile:
     def generation(self) -> int:
         """The current checkpoint generation new appends are stamped with."""
         if self._generation is None:
-            _, self._generation = load_checkpoint(
-                self.checkpoint_path, fs=self.fs
-            )
+            _, self._generation = self.read_checkpoint()
         return self._generation
+
+    def read_checkpoint(self) -> tuple[dict | None, int]:
+        """The published checkpoint document, read afresh:
+        ``(state, generation)``, ``(None, 0)`` when there is none."""
+        return load_checkpoint(self.checkpoint_path, fs=self.fs)
+
+    def live_frames(self) -> tuple[int, list[bytes]]:
+        """The checkpoint generation and the newline-terminated bytes of
+        every live frame at or after it — a read-only view for a tailer
+        of a log another process writes.
+
+        The generation is re-read on every call.  A torn or corrupt tail
+        is simply not part of the valid prefix yet: nothing is repaired,
+        logged, counted or raised.
+        """
+        _, generation = self.read_checkpoint()
+        data = (
+            self.fs.read_bytes(self.path) if self.fs.exists(self.path)
+            else b""
+        )
+        frames = [
+            data[r.offset:r.end].rstrip(b"\n") + b"\n"
+            for r in scan_log(data).records
+            if r.generation is None or r.generation >= generation
+        ]
+        return generation, frames
 
     def _ensure_clean_tail(self) -> None:
         """Heal a torn tail before the first append of this process.
@@ -186,7 +213,12 @@ class JournalFile:
                 self.repair("strict")
 
     def append(self, record: Any) -> None:
-        """Append one framed record (fsync per policy).
+        """Frame one record at the current generation and append it."""
+        payload = json.dumps(self.codec.record_to_dict(record), sort_keys=True)
+        self.append_frame(encode_frame(payload, self.generation))
+
+    def append_frame(self, frame: bytes) -> None:
+        """Append one encoded frame verbatim (fsync per policy).
 
         Transient storage faults (an fsync EIO, a short write) are
         retried with rollback per :attr:`retry`; exhausted retries trip
@@ -199,11 +231,10 @@ class JournalFile:
         if self.fence is not None:
             self.fence()
         self._ensure_clean_tail()
-        payload = json.dumps(self.codec.record_to_dict(record), sort_keys=True)
         append_record(
             self.fs,
             self.path,
-            encode_frame(payload, self.generation),
+            frame,
             retry=self.retry,
             latch=self.latch,
             sync=(
@@ -275,9 +306,7 @@ class JournalFile:
         its state from the checkpoint and hands the tail to
         :meth:`replay`.
         """
-        state, self._generation = load_checkpoint(
-            self.checkpoint_path, fs=self.fs
-        )
+        state, self._generation = self.read_checkpoint()
         live, report = self._heal(mode)
         self._tail_checked = True
         return state, live, report
@@ -316,7 +345,7 @@ class JournalFile:
             self.checkpoint(state)
             _WAL_AUTO_CHECKPOINTS.labels(reason="replay-budget").inc()
 
-    def checkpoint(self, state: Any) -> None:
+    def checkpoint(self, state: Any, generation: int | None = None) -> None:
         """Fold the applied records into an atomic snapshot of ``state``.
 
         The checkpoint is published atomically (temp file, fsync,
@@ -324,11 +353,14 @@ class JournalFile:
         Records appended before the checkpoint carry an older generation
         than the one stamped into it, so a crash *between* the rename
         and the truncate cannot double-apply the tail on recovery — the
-        fence skips it.
+        fence skips it.  The new generation is the next one unless the
+        caller gives it (a replica publishes the primary's).
         """
         if self.fence is not None:
             self.fence()
-        new_generation = self.generation + 1
+        new_generation = (
+            self.generation + 1 if generation is None else generation
+        )
         sync = self.durability.sync_checkpoints
         write_checkpoint(
             self.checkpoint_path,
@@ -365,9 +397,7 @@ class JournalFile:
     ) -> TypeLattice:
         """Rebuild a schema journal's lattice (read-only): load the
         checkpoint (if any), then replay the live tail of the log."""
-        state, self._generation = load_checkpoint(
-            self.checkpoint_path, fs=self.fs
-        )
+        state, self._generation = self.read_checkpoint()
         lattice = (
             lattice_from_dict(state) if state is not None
             else TypeLattice(policy)

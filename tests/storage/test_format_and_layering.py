@@ -5,6 +5,11 @@ durable stores moved onto the shared :class:`JournalFile` engine, and
 must never be regenerated: it pins the on-disk format (file names,
 ``#W1`` frames, record JSON, checkpoint documents) across refactors.
 ``expected.json`` holds the state that code recovered from it.
+``parent_format/replica`` was likewise written by the replica code
+before :class:`ReplicaStore` moved onto the engine; its own
+``expected.json`` pins the replica's position, prefix CRC and types,
+plus the primary-side prefix CRC of the ``lattice`` WAL — the values
+the replication handshake exchanges.
 """
 
 import ast
@@ -21,6 +26,7 @@ from repro.core import (
     SchemaError,
     prop,
 )
+from repro.replication import ReplicaStore, ReplicationSource
 from repro.storage import (
     DurableObjectbase,
     FaultyFS,
@@ -36,6 +42,7 @@ from repro.storage.journal import DurableLattice
 
 FIXTURE = Path(__file__).parent / "data" / "parent_format"
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPLICA_FILES = ("r.wal", "r.wal.checkpoint")
 
 
 @pytest.fixture
@@ -45,8 +52,8 @@ def fixture_copy(tmp_path):
     return tmp_path / "copy"
 
 
-def expected() -> dict:
-    return json.loads((FIXTURE / "expected.json").read_text())
+def expected(fixture: str = "") -> dict:
+    return json.loads((FIXTURE / fixture / "expected.json").read_text())
 
 
 def write_lattice_store(root: Path) -> None:
@@ -93,6 +100,35 @@ def write_objectbase_store(root: Path) -> None:
         ))
 
 
+def write_replica_store(primary: Path, replica: Path) -> ReplicaStore:
+    """The workload that produced ``replica/``: a primary checkpoint at
+    generation 1 shipped to the replica, then the primary's live frames
+    shipped in two batches."""
+    primary.mkdir()
+    durable = DurableLattice(primary / "p.wal")
+    durable.apply(
+        AddType("T_person", properties=(prop("person.name", "name"),))
+    )
+    durable.apply(AddType("T_student", ("T_person",)))
+    durable.checkpoint()
+    durable.apply(
+        AddEssentialProperty("T_student", prop("student.gpa", "gpa"))
+    )
+    durable.apply(AddType("T_employee", ("T_person",)))
+    durable.apply(AddEssentialSupertype("T_student", "T_employee"))
+    source = ReplicationSource(primary / "p.wal")
+    state, generation = source.checkpoint_state()
+    frames = [
+        f.decode("utf-8").rstrip("\n") for f in source.state().frames
+    ]
+    replica.mkdir()
+    store = ReplicaStore(replica / "r.wal")
+    store.install_checkpoint(state, generation)
+    store.apply_records(generation, 0, frames[:1])
+    store.apply_records(generation, 1, frames[1:])
+    return store
+
+
 class TestParentWrittenFixture:
     def test_lattice_store_opens_to_the_same_state(self, fixture_copy):
         wal = fixture_copy / "lattice" / "schema.wal"
@@ -128,6 +164,38 @@ class TestParentWrittenFixture:
             )
 
 
+class TestParentWrittenReplica:
+    def test_replica_reopens_to_the_same_position(self, fixture_copy):
+        wal = fixture_copy / "replica" / "r.wal"
+        before = wal.read_bytes()
+        store = ReplicaStore(wal)
+        want = expected("replica")
+        assert str(store.position) == want["position"]
+        assert store.tail_crc == want["tail_crc"]
+        assert sorted(store.types()) == want["types"]
+        assert store.recovery_report.clean
+        assert wal.read_bytes() == before  # a clean open rewrites nothing
+
+    def test_same_workload_writes_identical_bytes(self, tmp_path):
+        store = write_replica_store(tmp_path / "primary", tmp_path / "r")
+        want = expected("replica")
+        assert str(store.position) == want["position"]
+        assert store.tail_crc == want["tail_crc"]
+        for name in REPLICA_FILES:
+            written = (tmp_path / "r" / name).read_bytes()
+            assert written == (FIXTURE / "replica" / name).read_bytes(), (
+                f"replica/{name} is no longer byte-identical"
+            )
+
+    def test_source_prefix_crc_of_the_lattice_wal(self, fixture_copy):
+        source = ReplicationSource(fixture_copy / "lattice" / "schema.wal")
+        state = source.state()
+        want = expected("replica")
+        assert str(state.position) == want["lattice_position"]
+        assert source.prefix_crc(state, len(state.frames)) \
+            == want["lattice_prefix_crc"]
+
+
 def _imported_modules(path: Path) -> set[str]:
     """Absolute names of every module ``path`` imports (relative
     imports resolved against the module's package)."""
@@ -155,6 +223,24 @@ class TestLayering:
             and "repro.storage.faults" in _imported_modules(path)
         ]
         assert offenders == []
+
+    def test_replication_touches_wals_only_through_the_engine(self):
+        raw_io = {
+            "read_log", "scan_log", "write_checkpoint", "timed_fsync",
+            "load_checkpoint",
+        }
+        replication = sorted((SRC / "replication").rglob("*.py"))
+        offenders = [
+            f"{path.relative_to(SRC)}: {name}"
+            for path in replication
+            for name in sorted(_imported_modules(path))
+            if name.rsplit(".", 1)[-1] in raw_io
+        ]
+        assert offenders == []
+        # ...and the guard does see what replication imports.
+        assert "repro.storage.journal.JournalFile" in _imported_modules(
+            SRC / "replication" / "replica.py"
+        )
 
     def test_import_resolution_sees_relative_imports(self):
         # The guard above is only as good as the resolver.
