@@ -35,7 +35,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.concurrent import ConcurrentObjectbase
+from repro.api import Objectbase
 from repro.core import AddEssentialProperty, AddType, prop
 from repro.replication import (
     ReplicaStore,
@@ -77,7 +77,7 @@ def bench_catch_up(lags: list[int]) -> dict:
     results = {}
     for n_ops in lags:
         with tempfile.TemporaryDirectory() as tmp:
-            primary = ConcurrentObjectbase.open(Path(tmp) / "p.wal")
+            primary = Objectbase.open(Path(tmp) / "p.wal")
             for op in script(n_ops):
                 primary.apply(op)
             hub = ReplicationServer(
@@ -117,7 +117,7 @@ def bench_catch_up(lags: list[int]) -> dict:
 def bench_live_ship(n_ops: int) -> dict:
     """Committed-write-to-replica-visible latency, one op at a time."""
     with tempfile.TemporaryDirectory() as tmp:
-        primary = ConcurrentObjectbase.open(Path(tmp) / "p.wal")
+        primary = Objectbase.open(Path(tmp) / "p.wal")
         hub = ReplicationServer(
             ReplicationSource(Path(tmp) / "p.wal"),
             poll_interval=0.005, heartbeat_interval=0.5,
@@ -158,7 +158,7 @@ def bench_live_ship(n_ops: int) -> dict:
 def bench_replica_reads(n_types: int, seconds: float) -> dict:
     """Snapshot read throughput on a live replica, 1 vs 4 threads."""
     with tempfile.TemporaryDirectory() as tmp:
-        primary = ConcurrentObjectbase.open(Path(tmp) / "p.wal")
+        primary = Objectbase.open(Path(tmp) / "p.wal")
         for op in script(n_types):
             primary.apply(op)
         hub = ReplicationServer(
@@ -183,7 +183,7 @@ def bench_replica_reads(n_types: int, seconds: float) -> dict:
                 i = 0
                 while time.perf_counter() < deadline:
                     try:
-                        replica.card(names[i % len(names)])
+                        replica.snapshot.card(names[i % len(names)])
                         replica.types()
                     except Exception as exc:  # noqa: BLE001
                         errors.append(repr(exc))

@@ -30,7 +30,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from repro.concurrent import ConcurrentObjectbase
+from repro.api import Objectbase
 from repro.server import ObjectbaseService, make_server
 
 OK_FAILURES = {429, 503}
@@ -51,7 +51,7 @@ def request(base: str, method: str, path: str, body=None):
 
 def run(threads: int, ops: int, max_inflight: int) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix="bench-server-"))
-    store = ConcurrentObjectbase.open(tmp / "schema.wal", lock_timeout=10.0)
+    store = Objectbase.open(tmp / "schema.wal", lock_timeout=10.0)
     server = make_server(ObjectbaseService(store, max_inflight=max_inflight))
     accept = threading.Thread(target=server.serve_forever, daemon=True)
     accept.start()
@@ -97,7 +97,7 @@ def run(threads: int, ops: int, max_inflight: int) -> dict:
     live_types = store.types()
     server.shutdown()
     server.server_close()
-    reopened = ConcurrentObjectbase.open(tmp / "schema.wal").types()
+    reopened = Objectbase.open(tmp / "schema.wal").types()
 
     return {
         "threads": threads,

@@ -42,19 +42,32 @@ Design notes
 * **Queries are term cards.**  :meth:`card` returns every Table-1 term
   of one type (``Pe``/``Ne`` designer inputs, ``P``/``PL``/``N``/``H``/``I``
   derived) as one immutable snapshot.
+* **One writer at a time, readers never block.**  Every mutation, and
+  every :meth:`batch` for its whole ``with`` block, holds one
+  :class:`FairLock`: a FIFO ticket lock whose wait past ``lock_timeout``
+  raises the typed :class:`~repro.core.errors.LockTimeoutError` with
+  nothing admitted.  Concurrent readers use :attr:`Objectbase.snapshot`,
+  an immutable :class:`SchemaSnapshot` of one moment.  Publishing starts
+  at the first read of it; from then on every write publishes before it
+  releases the lock, copy-on-write in O(cone).  Until then derivations
+  coalesce until the next query, as for any single-threaded embedder.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .core.axioms import Violation, check_all
 from .core.config import LatticePolicy
-from .core.errors import LintRejectedError
+from .core.derivation import Derivation
+from .core.errors import LintRejectedError, LockTimeoutError, UnknownTypeError
 from .core.history import EvolutionJournal, JournalEntry
 from .core.impact import ImpactReport, analyze_impact
 from .core.lattice import TypeLattice
@@ -91,6 +104,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Objectbase",
     "TermCard",
+    "FairLock",
+    "SchemaSnapshot",
     "MigrationResult",
     "DurabilityPolicy",
     "run_lint_gate",
@@ -103,6 +118,31 @@ _MIGRATIONS = REGISTRY.counter(
     "repro_ddl_migrations_total",
     "Declarative migrations through Objectbase.migrate_to, by outcome",
     labelnames=("outcome",),
+)
+
+_LOCK_ACQUISITIONS = REGISTRY.counter(
+    "repro_lock_acquisitions_total",
+    "Successful write-lock acquisitions",
+)
+_LOCK_TIMEOUTS = REGISTRY.counter(
+    "repro_lock_timeouts_total",
+    "Write-lock waits abandoned at the timeout",
+)
+_LOCK_WAIT_SECONDS = REGISTRY.histogram(
+    "repro_lock_wait_seconds",
+    "Time writers spent waiting for the single-writer lock",
+)
+_LOCK_QUEUE_DEPTH = REGISTRY.gauge(
+    "repro_lock_queue_depth",
+    "Writers currently queued behind the single-writer lock",
+)
+_SNAPSHOT_PUBLISHES = REGISTRY.counter(
+    "repro_snapshot_publishes_total",
+    "Immutable schema snapshots published after mutations",
+)
+_SNAPSHOT_UNCHANGED = REGISTRY.counter(
+    "repro_snapshot_unchanged_total",
+    "Publish attempts that reused the previous snapshot unchanged",
 )
 
 #: Lint-gate thresholds accepted by :meth:`Objectbase.migrate_to`.
@@ -214,6 +254,214 @@ def run_lint_gate(
     return report
 
 
+class FairLock:
+    """A FIFO (ticket) mutex with timeout.
+
+    Unlike :class:`threading.Lock`, waiters are granted the lock in
+    strict arrival order: release *hands the lock off* to the oldest
+    waiter rather than unlocking and letting the scheduler race.  A
+    timed-out waiter raises :class:`LockTimeoutError` after removing
+    itself from the queue, so an abandoned wait can never absorb a
+    hand-off (the hand-off/timeout race is resolved under the internal
+    mutex: a waiter signalled *between* its timeout and its cleanup
+    takes the lock after all).
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._locked = False
+        self._waiters: deque[threading.Event] = deque()
+
+    @property
+    def locked(self) -> bool:
+        return self._locked
+
+    @property
+    def waiters(self) -> int:
+        """Writers currently queued (approximate outside the lock)."""
+        return len(self._waiters)
+
+    def acquire(self, timeout: float | None = None) -> None:
+        """Take the lock, waiting at most ``timeout`` seconds.
+
+        Raises :class:`LockTimeoutError` when the wait expires; the
+        caller was never granted the lock, so no cleanup is needed.
+        """
+        with self._mutex:
+            if not self._locked and not self._waiters:
+                self._locked = True
+                _LOCK_ACQUISITIONS.inc()
+                return
+            ticket = threading.Event()
+            self._waiters.append(ticket)
+            _LOCK_QUEUE_DEPTH.set(len(self._waiters))
+        started = perf_counter()
+        granted = ticket.wait(timeout)
+        waited = perf_counter() - started
+        if not granted:
+            with self._mutex:
+                # Re-check under the mutex: release() may have handed us
+                # the lock after wait() gave up but before we got here.
+                if not ticket.is_set():
+                    self._waiters.remove(ticket)
+                    _LOCK_QUEUE_DEPTH.set(len(self._waiters))
+                    _LOCK_TIMEOUTS.inc()
+                    raise LockTimeoutError(
+                        timeout if timeout is not None else 0.0,
+                        waiters=len(self._waiters),
+                    )
+        _LOCK_WAIT_SECONDS.observe(waited)
+        _LOCK_ACQUISITIONS.inc()
+
+    def release(self) -> None:
+        """Release, handing the lock to the oldest waiter if any."""
+        with self._mutex:
+            if not self._locked:
+                raise RuntimeError("release of an unheld FairLock")
+            if self._waiters:
+                # Hand-off: the lock stays held, ownership transfers.
+                ticket = self._waiters.popleft()
+                _LOCK_QUEUE_DEPTH.set(len(self._waiters))
+                ticket.set()
+            else:
+                self._locked = False
+
+    def __enter__(self) -> "FairLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+class SchemaSnapshot:
+    """An immutable, consistent view of one schema moment.
+
+    Carries the designer terms (``Pe``/``Ne``) *and* the derived
+    :class:`Derivation` captured together under the write lock, so any
+    combination of queries against one snapshot is mutually consistent.
+    Construct through :meth:`capture`.
+    """
+
+    __slots__ = (
+        "_pe", "_ne", "derivation", "generation", "root", "base", "frozen",
+    )
+
+    def __init__(
+        self,
+        pe: dict[str, frozenset[str]],
+        ne: dict[str, "frozenset[Property]"],
+        derivation: Derivation,
+        generation: int,
+        root: str | None = None,
+        base: str | None = None,
+        frozen: frozenset[str] = frozenset(),
+    ) -> None:
+        self._pe = pe
+        self._ne = ne
+        self.derivation = derivation
+        self.generation = generation
+        #: Policy facts frozen into the snapshot so the DDL differ can
+        #: diff against it without touching the live lattice.
+        self.root = root
+        self.base = base
+        self.frozen = frozen
+
+    @classmethod
+    def capture(
+        cls, lattice: TypeLattice, previous: "SchemaSnapshot | None" = None
+    ) -> "SchemaSnapshot":
+        """Snapshot ``lattice`` now, reusing ``previous`` where possible.
+
+        Must run while no concurrent mutation is possible (the caller
+        holds the write lock).  Forces any pending incremental
+        propagation, then copies only the entries whose derived rows
+        were recomputed — the engine builds fresh row objects exactly
+        for the cone it touched, so identity comparison against
+        ``previous`` finds the delta without comparing values.
+        """
+        deriv = lattice.derivation
+        if previous is not None and deriv is previous.derivation:
+            _SNAPSHOT_UNCHANGED.inc()
+            return previous
+        if previous is None:
+            pe = {t: lattice.pe(t) for t in deriv.pl}
+            ne = {t: lattice.ne(t) for t in deriv.pl}
+        else:
+            old = previous.derivation
+            pe = dict(previous._pe)
+            ne = dict(previous._ne)
+            for t in list(pe):
+                if t not in deriv.pl:
+                    del pe[t]
+                    del ne[t]
+            for t in deriv.pl:
+                if (
+                    t not in pe
+                    or deriv.pl[t] is not old.pl.get(t)
+                    or deriv.i[t] is not old.i.get(t)
+                ):
+                    pe[t] = lattice.pe(t)
+                    ne[t] = lattice.ne(t)
+        _SNAPSHOT_PUBLISHES.inc()
+        return cls(
+            pe, ne, deriv, lattice.generation,
+            root=lattice.root,
+            base=lattice.base,
+            frozen=frozenset(
+                t for t in lattice.types() if lattice.is_frozen(t)
+            ),
+        )
+
+    # -- queries (all lock-free, all mutually consistent) ---------------
+
+    def types(self) -> frozenset[str]:
+        return frozenset(self._pe)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._pe
+
+    def __len__(self) -> int:
+        return len(self._pe)
+
+    def pe(self, name: str) -> frozenset[str]:
+        self._require(name)
+        return self._pe[name]
+
+    def ne(self, name: str) -> "frozenset[Property]":
+        self._require(name)
+        return self._ne[name]
+
+    def card(self, name: str) -> TermCard:
+        """All Table-1 terms of ``name``, from this one moment."""
+        self._require(name)
+        d = self.derivation
+        return TermCard(
+            name=name,
+            pe=self._pe[name],
+            ne=self._ne[name],
+            p=d.p[name],
+            pl=d.pl[name],
+            n=d.n[name],
+            h=d.h[name],
+            i=d.i[name],
+        )
+
+    def cards(self) -> Iterator[TermCard]:
+        for t in sorted(self._pe):
+            yield self.card(t)
+
+    def _require(self, name: str) -> None:
+        if name not in self._pe:
+            raise UnknownTypeError(name)
+
+    def __repr__(self) -> str:
+        return (
+            f"SchemaSnapshot(|T|={len(self._pe)}, "
+            f"generation={self.generation})"
+        )
+
+
 class Objectbase:
     """The unified schema-evolution facade.
 
@@ -221,12 +469,22 @@ class Objectbase:
     :meth:`in_memory` (ephemeral); wrapping an existing
     :class:`TypeLattice`, :class:`EvolutionJournal`, or
     :class:`DurableLattice` also works via the constructor.
+
+    Safe to share across threads.  Every mutating verb, and every
+    :meth:`batch` for its whole ``with`` block, holds one
+    :class:`FairLock`, waiting at most ``lock_timeout`` seconds; a
+    thread's calls inside its own batch join that batch.  The plain
+    reads (:meth:`card`, :meth:`types`, ...) see the live lattice and
+    belong to the writing thread; concurrent readers use
+    :attr:`snapshot`.
     """
 
     def __init__(
         self,
         backend: TypeLattice | EvolutionJournal | DurableLattice | None = None,
         policy: LatticePolicy | None = None,
+        *,
+        lock_timeout: float = 5.0,
     ) -> None:
         if backend is None:
             backend = EvolutionJournal(policy=policy)
@@ -236,6 +494,16 @@ class Objectbase:
         # SchemaTransaction relies on: apply / undo / __len__ / .lattice.
         self._journal = backend
         self._txn: SchemaTransaction | None = None
+        self.lock_timeout = lock_timeout
+        self._lock = FairLock()
+        #: Thread ident of the writer holding ``_lock`` (``None`` if free).
+        self._owner: int | None = None
+        #: ``None`` until :attr:`snapshot` is first read; from then on
+        #: every write republishes it before releasing the lock.
+        self._snapshot: SchemaSnapshot | None = None
+        #: Reopens the durable store in salvage mode (set by :meth:`open`).
+        self._reopen: Callable[[], DurableLattice] | None = None
+        self._fence: Callable[[], None] | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -249,6 +517,7 @@ class Objectbase:
         recovery: str = "strict",
         retry: RetryPolicy | None = None,
         fs: StorageBackend | None = None,
+        lock_timeout: float = 5.0,
     ) -> "Objectbase":
         """Open (or create) a durable objectbase backed by a WAL file.
 
@@ -274,19 +543,27 @@ class Objectbase:
         (:class:`~repro.storage.reliability.RetryPolicy`); when the
         budget is exhausted the store latches read-only (see
         :attr:`degraded`).  ``fs`` swaps the filesystem seam (fault
-        injection in tests).
+        injection in tests).  ``lock_timeout`` bounds every writer's
+        wait for the lock.  The arguments are kept so :meth:`recover`
+        can reopen the same store in salvage mode.
         """
-        return cls(
-            DurableLattice(
+
+        def reopen(recovery: str = "salvage") -> DurableLattice:
+            return DurableLattice(
                 path, policy, durability=durability, recovery=recovery,
                 retry=retry, fs=fs,
             )
-        )
+
+        ob = cls(reopen(recovery), lock_timeout=lock_timeout)
+        ob._reopen = reopen
+        return ob
 
     @classmethod
-    def in_memory(cls, policy: LatticePolicy | None = None) -> "Objectbase":
+    def in_memory(
+        cls, policy: LatticePolicy | None = None, *, lock_timeout: float = 5.0
+    ) -> "Objectbase":
         """A fresh, non-durable objectbase (TIGUKAT policy by default)."""
-        return cls(policy=policy)
+        return cls(policy=policy, lock_timeout=lock_timeout)
 
     # -- introspection --------------------------------------------------
 
@@ -316,6 +593,29 @@ class Objectbase:
         """What opening recovered/salvaged (durable objectbases only)."""
         return getattr(self._journal, "recovery_report", None)
 
+    @property
+    def snapshot(self) -> SchemaSnapshot:
+        """The last published :class:`SchemaSnapshot`, for readers on
+        any thread.
+
+        The first read captures one under the writer lock and turns
+        publishing on; from then on every write publishes before it
+        releases the lock, so this is one reference load that never
+        blocks and never shows a half-applied batch.  The first read
+        may not come from inside the calling thread's own write.
+        """
+        snap = self._snapshot
+        if snap is None:
+            if self._owner == threading.get_ident():
+                raise TransactionError(
+                    "the first snapshot read cannot happen inside a write"
+                )
+            with self._write():
+                if self._snapshot is None:
+                    self._snapshot = SchemaSnapshot.capture(self.lattice)
+                snap = self._snapshot
+        return snap
+
     def types(self) -> frozenset[str]:
         return self.lattice.types()
 
@@ -344,16 +644,58 @@ class Objectbase:
         for t in sorted(self.types()):
             yield self.card(t)
 
+    # -- the writer lock ------------------------------------------------
+
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """Hold the writer lock for one mutating verb.
+
+        The thread already holding it (inside its own :meth:`batch`, or
+        a verb built on another verb) joins that hold.  Once publishing
+        is on, the outermost hold publishes before releasing, also after
+        a rejected mutation: a failed batch rolled back through inverses
+        may leave a fresh derivation, and ``capture`` reuses the previous
+        snapshot when nothing changed.
+        """
+        me = threading.get_ident()
+        if self._owner == me:
+            yield
+            return
+        self._lock.acquire(self.lock_timeout)
+        self._owner = me
+        try:
+            yield
+        finally:
+            try:
+                if self._snapshot is not None:
+                    self._snapshot = SchemaSnapshot.capture(
+                        self.lattice, self._snapshot
+                    )
+            finally:
+                self._owner = None
+                self._lock.release()
+
     # -- the eight evolution operations ---------------------------------
 
-    def apply(self, operation: SchemaOperation) -> OperationResult:
+    def apply(
+        self,
+        operation: SchemaOperation,
+        *,
+        gate: Callable[[TypeLattice], None] | None = None,
+    ) -> OperationResult:
         """Apply a raw operation object (routes through an active batch).
+
+        ``gate``, if given, runs under the writer lock against the live
+        lattice before anything is mutated; raising from it aborts the
+        write (the service's admission-time lint gate rides on this).
 
         Produces one ``apply`` trace span (a child of the ``batch`` span
         when inside :meth:`batch`) carrying the operation code and the
         counter deltas the operation caused.
         """
-        with trace.span("apply", op=operation.code) as span:
+        with trace.span("apply", op=operation.code) as span, self._write():
+            if gate is not None:
+                gate(self.lattice)
             if self._txn is not None:
                 result = self._txn.apply(operation)
             else:
@@ -408,27 +750,38 @@ class Objectbase:
 
     @contextmanager
     def batch(
-        self, verify_on_commit: bool = True
+        self,
+        verify_on_commit: bool = True,
+        gate: Callable[[TypeLattice], None] | None = None,
     ) -> Iterator[SchemaTransaction]:
         """Group operations atomically, with one propagation pass.
 
-        All facade mutations inside the ``with`` block join the
-        transaction: either every operation commits (verified against the
-        nine axioms by default) or the whole group rolls back through the
-        recorded inverses.  Invalidation is coalesced — the entire batch
-        costs a single incremental derivation pass.
+        All facade mutations the calling thread makes inside the
+        ``with`` block join the transaction: either every operation
+        commits (verified against the nine axioms by default) or the
+        whole group rolls back through the recorded inverses.
+        Invalidation is coalesced — the entire batch costs a single
+        incremental derivation pass.  The writer lock is held for the
+        whole block, so other threads' writes wait and readers of
+        :attr:`snapshot` see the batch whole or not at all.  ``gate``
+        behaves as in :meth:`apply`.
         """
-        if self._txn is not None:
-            raise TransactionError("a batch is already active")
-        txn = SchemaTransaction(self._journal, verify_on_commit=verify_on_commit)
-        self._txn = txn
-        try:
-            with trace.span("batch", verify=verify_on_commit) as span:
+        with trace.span("batch", verify=verify_on_commit) as span, \
+                self._write():
+            if self._txn is not None:
+                raise TransactionError("a batch is already active")
+            if gate is not None:
+                gate(self.lattice)
+            txn = SchemaTransaction(
+                self._journal, verify_on_commit=verify_on_commit
+            )
+            self._txn = txn
+            try:
                 with txn:
                     yield txn
                 span.set_attr("operations", len(txn))
-        finally:
-            self._txn = None
+            finally:
+                self._txn = None
 
     # -- checks, analysis, maintenance ----------------------------------
 
@@ -454,7 +807,7 @@ class Objectbase:
         Normalization preserves the derived lattice by construction, so
         the batch skips commit-time re-verification.
         """
-        with trace.span("normalize") as span:
+        with trace.span("normalize") as span, self._write():
             ops = normalization_operations(self.lattice)
             dropped_supers = sum(
                 1 for op in ops if isinstance(op, DropEssentialSupertype)
@@ -483,11 +836,11 @@ class Objectbase:
         the output is byte-identical for equal schemas regardless of the
         operation history that produced them.
         """
-        return print_schema(schema_from(self, name=name))
+        return print_schema(schema_from(self.lattice, name=name))
 
     def schema_decl(self, name: str = "") -> "SchemaDecl":
         """The live schema as a :class:`~repro.ddl.ast.SchemaDecl`."""
-        return schema_from(self, name=name)
+        return schema_from(self.lattice, name=name)
 
     def diff_to(
         self, target: "SchemaDecl | str", *, name: str = ""
@@ -500,7 +853,7 @@ class Objectbase:
         :meth:`~repro.staticcheck.plan.EvolutionPlan.save`.  An empty
         plan means the schemas already agree.
         """
-        return diff_schemas(self, target, name=name)
+        return diff_schemas(self.lattice, target, name=name)
 
     def migrate_to(
         self,
@@ -528,8 +881,13 @@ class Objectbase:
         live lattice and the computed plan after the lint gate passed
         and before anything is mutated; raising from it aborts the
         migration (the server's interference check rides on this).
+
+        Diff, lint gate and apply all run under one hold of the writer
+        lock, so the plan executes against exactly the schema it was
+        computed from.
         """
-        with trace.span("migrate", dry_run=dry_run, lint=lint) as span:
+        with trace.span("migrate", dry_run=dry_run, lint=lint) as span, \
+                self._write():
             plan = self.diff_to(target)
             span.set_attr("operations", len(plan))
             try:
@@ -560,20 +918,24 @@ class Objectbase:
 
     def undo(self) -> JournalEntry:
         """Revert the most recent operation via its recorded inverse."""
-        if self._txn is not None:
-            raise TransactionError("cannot undo inside a batch")
-        with trace.span("undo") as span:
+        with trace.span("undo") as span, self._write():
+            if self._txn is not None:
+                raise TransactionError("cannot undo inside a batch")
             entry = self._journal.undo()
             span.set_attr("op", entry.operation.code)
             return entry
 
-    def checkpoint(self) -> None:
-        """Fold the WAL into a snapshot (durable objectbases only)."""
+    def _require_durable(self, verb: str) -> None:
         if not self.durable:
             raise TransactionError(
-                "checkpoint requires a durable objectbase (use Objectbase.open)"
+                f"{verb} requires a durable objectbase (use Objectbase.open)"
             )
-        self._journal.checkpoint()
+
+    def checkpoint(self) -> None:
+        """Fold the WAL into a snapshot (durable objectbases only)."""
+        self._require_durable("checkpoint")
+        with self._write():
+            self._journal.checkpoint()
 
     def sync(self) -> None:
         """Force WAL records to stable storage (durable objectbases only).
@@ -582,11 +944,9 @@ class Objectbase:
         — a no-op risk window closer; with ``fsync="always"`` every apply
         already synced.
         """
-        if not self.durable:
-            raise TransactionError(
-                "sync requires a durable objectbase (use Objectbase.open)"
-            )
-        self._journal.sync()
+        self._require_durable("sync")
+        with self._write():
+            self._journal.sync()
 
     def storage_gc(self) -> int:
         """Sweep storage-backend garbage (orphan object-store segments,
@@ -601,8 +961,45 @@ class Objectbase:
         substrate garbage) report zero.
         """
         collect = getattr(self._journal, "gc", None)
-        return collect() if callable(collect) else 0
+        if not callable(collect):
+            return 0
+        with self._write():
+            return collect()
+
+    def set_write_fence(self, fence: Callable[[], None] | None) -> None:
+        """Install (or clear, with ``None``) a write fence on the WAL.
+
+        The fence runs before every append and checkpoint; raising from
+        it aborts the write.  Replication installs the primary lease's
+        ``check`` here so an ex-primary that lost its lease is stopped
+        at the append boundary.  Survives :meth:`recover` (the fence is
+        reattached to the reopened backend).
+        """
+        self._require_durable("a write fence")
+        self._fence = self._journal.file.fence = fence
+
+    def recover(self) -> SalvageReport | None:
+        """Heal the store and leave degraded mode (if it was entered).
+
+        Durable stores are reopened from disk in salvage mode: the WAL
+        is repaired (torn tails truncated, corruption quarantined) and
+        the lattice rebuilt from exactly the acknowledged records.
+        Rebuilding from disk — rather than merely clearing the latch —
+        guarantees the in-memory state and the log agree again even if
+        a partial append could not be rolled back.  In-memory stores
+        have nothing to heal; the call returns ``None``.
+        """
+        with self._write():
+            if self._reopen is not None:
+                previous = self._journal
+                self._journal = self._reopen()
+                # The reopened backend has a fresh (clear) latch; end the
+                # old store's degraded episode so the gauge drops too.
+                previous.file.latch.clear()
+                self._journal.file.fence = self._fence
+            return self.recovery_report
 
     def __repr__(self) -> str:
         kind = "durable" if self.durable else "in-memory"
-        return f"Objectbase({kind}, |T|={len(self.lattice)})"
+        state = "degraded" if self.degraded else "ok"
+        return f"Objectbase({kind}, {state}, |T|={len(self.lattice)})"

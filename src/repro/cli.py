@@ -587,11 +587,10 @@ def _serve_replica(args, durability) -> int:
 
 
 def _serve_primary(args, durability) -> int:
-    from .concurrent import ConcurrentObjectbase
     from .server import ObjectbaseService, serve_service
 
     try:
-        store = ConcurrentObjectbase.open(
+        store = Objectbase.open(
             args.db, durability=durability, lock_timeout=args.lock_timeout
         )
     except EvolutionError as exc:

@@ -298,7 +298,7 @@ class DDLValidationError(DDLError):
 class LockTimeoutError(SchemaError):
     """The single-writer lock could not be acquired within the timeout.
 
-    Raised by the concurrency layer (:mod:`repro.concurrent`) when a
+    Raised by the writer lock of :class:`repro.api.Objectbase` when a
     writer waits longer than its configured bound.  The request was never
     admitted — no partial effect exists — so the caller can safely retry;
     the HTTP service maps this to ``503`` with a ``Retry-After`` hint.

@@ -29,7 +29,7 @@ Entry points::
         }
         type T_student : T_person;
     ''')
-    plan = diff_schemas(objectbase, target)   # minimal EvolutionPlan
+    plan = diff_schemas(objectbase.lattice, target)   # minimal plan
 """
 
 from .ast import PropertyDecl, SchemaDecl, TypeDecl

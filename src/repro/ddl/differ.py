@@ -25,10 +25,9 @@ managed cells (the implicit root in every ``Pe``, the base type's
 the emitted plan makes a re-diff against the same target empty — the
 idempotent fixpoint the test-suite oracle proves over fuzzed pairs.
 
-``live`` may be a :class:`~repro.api.Objectbase`, a raw
-:class:`~repro.core.lattice.TypeLattice`, a
-:class:`~repro.concurrent.ConcurrentObjectbase`, or a published
-:class:`~repro.concurrent.SchemaSnapshot` (lock-free diffing).
+``live`` is a :class:`~repro.core.lattice.TypeLattice` (an
+objectbase's ``.lattice``) or a published
+:class:`~repro.api.SchemaSnapshot` (lock-free diffing).
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..core.errors import DDLValidationError
+from ..core.lattice import TypeLattice
 from ..core.operations import (
     AddEssentialProperty,
     AddEssentialSupertype,
@@ -70,25 +70,18 @@ _DIFF_SECONDS = REGISTRY.histogram(
 
 
 class _LiveView:
-    """Uniform read access to whichever live-schema shape we were given."""
+    """Read access to a live lattice or a published ``SchemaSnapshot``."""
 
     def __init__(self, live) -> None:
-        snapshot = getattr(live, "snapshot", None)
-        if snapshot is not None and not callable(snapshot):
-            live = snapshot  # ConcurrentObjectbase -> SchemaSnapshot
-        lattice = getattr(live, "lattice", None)
-        if lattice is not None:
-            live = lattice  # Objectbase / journal -> TypeLattice
         self._live = live
-        self.root: str | None = getattr(live, "root", None)
-        self.base: str | None = getattr(live, "base", None)
-        is_frozen = getattr(live, "is_frozen", None)
-        if callable(is_frozen):
+        self.root: str | None = live.root
+        self.base: str | None = live.base
+        if isinstance(live, TypeLattice):
             self.frozen = frozenset(
-                t for t in live.types() if is_frozen(t)
+                t for t in live.types() if live.is_frozen(t)
             )
         else:
-            self.frozen = frozenset(getattr(live, "frozen", ()) or ())
+            self.frozen = live.frozen
 
     def types(self) -> frozenset[str]:
         return self._live.types()

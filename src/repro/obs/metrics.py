@@ -38,7 +38,7 @@ acquired only when the sample is enabled, so the disabled path (the
 overhead benchmark's baseline) stays a single attribute check.  The
 derivation engine's *inlined* sample updates (see
 ``core/lattice.py``) intentionally bypass the locks — they run on the
-single-writer path that :mod:`repro.concurrent` serializes.
+single-writer path that :class:`repro.api.Objectbase` serializes.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ shared atomic counter and :class:`JsonlSink` serializes its writes, so
 concurrent roots interleave whole records, never bytes.  Counter deltas
 on a span are computed from the shared registry and therefore include
 activity from concurrently-running threads; under the single-writer
-lock of :mod:`repro.concurrent` mutation deltas stay exact, read-path
+lock of :class:`repro.api.Objectbase` mutation deltas stay exact, read-path
 spans are best-effort.
 """
 

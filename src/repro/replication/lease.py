@@ -14,7 +14,7 @@ this lease:
   replicas refuse any primary offering an epoch lower than one they
   have already synced from.  A resumed ex-primary is therefore fenced
   twice — locally at its own WAL append (the :meth:`FileLease.check`
-  fence installed via ``ConcurrentObjectbase.set_write_fence``) and
+  fence installed via ``Objectbase.set_write_fence``) and
   remotely at every replica's handshake.
 * **Heartbeats** (:class:`LeaseKeeper`) renew the expiry; renewal is
   cheap (read, verify still ours, rewrite).  A node that cannot renew

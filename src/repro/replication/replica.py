@@ -3,7 +3,7 @@
 :class:`ReplicaStore` owns the replica's local files — a
 :class:`~repro.storage.journal.JournalFile` holding verbatim copies of
 the shipped frames — and the published
-:class:`~repro.concurrent.SchemaSnapshot` readers serve from.
+:class:`~repro.api.SchemaSnapshot` readers serve from.
 Durability before visibility: every shipped record is appended to the
 local WAL *before* a snapshot shows it, so a replica that crashes
 mid-replay recovers to exactly the prefix it had acknowledged, and
@@ -45,7 +45,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from ..concurrent import SchemaSnapshot
+from ..api import SchemaSnapshot
 from ..core.config import LatticePolicy
 from ..core.errors import (
     CorruptRecordError,
@@ -110,9 +110,9 @@ _MIRROR_CODEC = replace(LATTICE_CODEC, state_to_dict=lambda state: state)
 class ReplicaStore:
     """The replica's durable state + published read snapshot.
 
-    Read surface mirrors :class:`~repro.concurrent.ConcurrentObjectbase`
-    (``snapshot``/``card``/``types``/``degraded``) so the HTTP service
-    can serve from either interchangeably.  All mutation comes from the
+    The HTTP service reads it as it reads a primary's
+    :class:`~repro.api.Objectbase`: through ``snapshot``, plus
+    ``degraded`` for readiness.  All mutation comes from the
     replication client thread; a mutex serializes it against the
     re-load in :meth:`reload`.  The outcome of the last load is in
     :attr:`recovery_report`.
@@ -149,24 +149,11 @@ class ReplicaStore:
     def types(self) -> frozenset[str]:
         return self._snapshot.types()
 
-    def card(self, name: str):
-        return self._snapshot.card(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._snapshot
-
-    def __len__(self) -> int:
-        return len(self._snapshot)
-
     @property
     def degraded(self) -> bool:
         # A replica never latches write-degraded (it takes no writes);
         # staleness is the client's dimension, reported separately.
         return False
-
-    @property
-    def durable(self) -> bool:
-        return True
 
     @property
     def position(self) -> Position:

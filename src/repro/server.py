@@ -1,4 +1,4 @@
-"""A stdlib-only HTTP/JSON service over :class:`ConcurrentObjectbase`.
+"""A stdlib-only HTTP/JSON service over :class:`~repro.api.Objectbase`.
 
 ``repro serve`` (or :func:`serve`) turns one objectbase into a small,
 operable network service — :class:`~http.server.ThreadingHTTPServer`
@@ -95,8 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import weight
     from .replication.primary import ReplicationServer
     from .replication.replica import ReplicaStore, ReplicationClient
 
-from .concurrent import ConcurrentObjectbase
-from .api import MIGRATE_LINT_MODES
+from .api import MIGRATE_LINT_MODES, Objectbase
 from .core.errors import (
     DDLError,
     DegradedModeError,
@@ -206,7 +205,7 @@ class ObjectbaseService:
 
     def __init__(
         self,
-        store: ConcurrentObjectbase,
+        store: Objectbase,
         *,
         max_inflight: int = 8,
         lint: str = "off",
@@ -217,6 +216,9 @@ class ObjectbaseService:
         if lint not in LINT_MODES:
             raise ValueError(f"lint must be one of {LINT_MODES}, not {lint!r}")
         self.store = store
+        # Every read below goes through the published snapshot; reading
+        # it once now turns publishing on before the listener accepts.
+        store.snapshot
         self.max_inflight = max_inflight
         self.lint = lint
         #: Set by :func:`serve_service` while the process shuts down, so
@@ -424,7 +426,7 @@ class ObjectbaseService:
         }
 
     def get_type(self, name: str) -> tuple[int, dict]:
-        return 200, self.store.card(name).as_dict()
+        return 200, self.store.snapshot.card(name).as_dict()
 
     def apply(self, body: dict) -> tuple[int, dict]:
         op = operation_from_dict(body.get("op", body))
@@ -439,9 +441,10 @@ class ObjectbaseService:
             raise ValueError('"operations" must be a list of operations')
         ops = [operation_from_dict(d) for d in raw]
         gate, record = self._make_gate(ops, body.get("expect_generation"))
-        results = self.store.apply_batch(
-            ops, verify_on_commit=bool(body.get("verify", True)), gate=gate
-        )
+        with self.store.batch(
+            verify_on_commit=bool(body.get("verify", True)), gate=gate
+        ) as txn:
+            results = txn.apply_all(ops)
         record()
         return 200, {
             "applied": len(results),
@@ -891,7 +894,7 @@ def serve_service(
 
 
 def serve(
-    store: ConcurrentObjectbase,
+    store: Objectbase,
     host: str = "127.0.0.1",
     port: int = 8787,
     *,

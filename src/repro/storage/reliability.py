@@ -20,7 +20,7 @@ recoverable faults):
   :class:`~repro.core.errors.DegradedModeError` (HTTP 503 / ``/readyz``
   not-ready at the service layer), and reads keep serving the last
   consistent state.  ``repro recover`` (or
-  :meth:`repro.concurrent.ConcurrentObjectbase.recover`) heals the log
+  :meth:`repro.api.Objectbase.recover`) heals the log
   and clears the latch.
 
 :class:`~repro.storage.faults.CrashPoint` is deliberately *not* in the

@@ -86,8 +86,6 @@ class TestWrites:
         try:
             with pytest.raises(LockTimeoutError):
                 store.apply(AddType("T_a"))
-            with pytest.raises(LockTimeoutError):
-                store.apply(AddType("T_b"), timeout=0.01)
         finally:
             store._lock.release()
         store.apply(AddType("T_a"))  # recovered once the lock freed up
@@ -106,10 +104,11 @@ class TestWrites:
         t.start()
         try:
             for i in range(20):
-                store.apply_batch([
-                    AddType(f"T_a{i}", ("T_person",)),
-                    AddType(f"T_b{i}", (f"T_a{i}",)),
-                ])
+                with store.batch() as txn:
+                    txn.apply_all([
+                        AddType(f"T_a{i}", ("T_person",)),
+                        AddType(f"T_b{i}", (f"T_a{i}",)),
+                    ])
         finally:
             stop.set()
             t.join()
@@ -124,10 +123,11 @@ class TestWrites:
         store.apply(AddType("T_person"))
         snap = store.snapshot
         with pytest.raises(DuplicateTypeError):
-            store.apply_batch([
-                AddType("T_new"),
-                AddType("T_person"),  # dies; the whole batch rolls back
-            ])
+            with store.batch() as txn:
+                txn.apply_all([
+                    AddType("T_new"),
+                    AddType("T_person"),  # dies; the whole batch rolls back
+                ])
         assert "T_new" not in store
         assert store.snapshot.types() == snap.types()
 

@@ -29,7 +29,7 @@ def apply_plan(ob: Objectbase, plan) -> None:
 class TestDiffBasics:
     def test_empty_to_empty(self):
         ob = Objectbase.in_memory()
-        assert len(diff_schemas(ob, "")) == 0
+        assert len(diff_schemas(ob.lattice, "")) == 0
 
     def test_identity_diff_is_empty(self, figure1):
         exported = schema_from(figure1)
@@ -37,7 +37,7 @@ class TestDiffBasics:
 
     def test_add_single_type(self):
         ob = Objectbase.in_memory()
-        plan = diff_schemas(ob, "type T_a { ne k as n; }")
+        plan = diff_schemas(ob.lattice, "type T_a { ne k as n; }")
         assert [op.code for op in plan] == ["AT"]
         apply_plan(ob, plan)
         assert "T_a" in ob
@@ -47,7 +47,7 @@ class TestDiffBasics:
         ob = Objectbase.in_memory()
         ob.add_type("T_a")
         ob.add_type("T_b", supertypes=["T_a"])
-        plan = diff_schemas(ob, "type T_a;")
+        plan = diff_schemas(ob.lattice, "type T_a;")
         assert [op.code for op in plan] == ["DT"]
         apply_plan(ob, plan)
         assert "T_b" not in ob
@@ -57,7 +57,7 @@ class TestDiffBasics:
         ob.add_type("T_a", properties=["old.k"])
         ob.add_type("T_b")
         ob.add_type("T_c", supertypes=["T_a"])
-        plan = diff_schemas(ob, """
+        plan = diff_schemas(ob.lattice, """
             type T_a { ne new.k; }
             type T_b;
             type T_c : T_b;
@@ -66,15 +66,15 @@ class TestDiffBasics:
         # drops strictly precede the corresponding adds
         assert codes == ["MT-DSR", "MT-ASR", "MT-DB", "MT-AB"]
         apply_plan(ob, plan)
-        assert len(diff_schemas(ob, schema_from(ob))) == 0
+        assert len(diff_schemas(ob.lattice, schema_from(ob.lattice))) == 0
 
     def test_minimality_only_touched_cells(self):
         ob = Objectbase.in_memory()
         ob.add_type("T_a", properties=["a.k"])
         ob.add_type("T_b", supertypes=["T_a"])
-        target = schema_from(ob)
+        target = schema_from(ob.lattice)
         text = print_schema(target) + "type T_new : T_a;\n"
-        plan = diff_schemas(ob, text)
+        plan = diff_schemas(ob.lattice, text)
         assert [op.code for op in plan] == ["AT"]
         assert plan[0].name == "T_new"
 
@@ -86,7 +86,7 @@ class TestDiffBasics:
         ob.add_type("T_x")
         ob.add_type("T_d", supertypes=["T_x"])
         ob.add_type("T_y", supertypes=["T_d"])
-        plan = diff_schemas(ob, "type T_y;\ntype T_x : T_y;")
+        plan = diff_schemas(ob.lattice, "type T_y;\ntype T_x : T_y;")
         apply_plan(ob, plan)
         assert ob.lattice.pe("T_x") >= {"T_y"}
         assert "T_d" not in ob
@@ -96,44 +96,44 @@ class TestDiffBasics:
         alone produces no operations (documented annotation semantics)."""
         ob = Objectbase.in_memory()
         ob.add_type("T_a", properties=["k"])
-        plan = diff_schemas(ob, 'type T_a { ne k as renamed; }')
+        plan = diff_schemas(ob.lattice, 'type T_a { ne k as renamed; }')
         assert len(plan) == 0
 
     def test_plan_name(self):
         ob = Objectbase.in_memory()
-        assert diff_schemas(ob, "schema uni;").name == "migrate-to-uni"
-        assert diff_schemas(ob, "").name == "migrate"
-        assert diff_schemas(ob, "", name="custom").name == "custom"
+        assert diff_schemas(ob.lattice, "schema uni;").name == "migrate-to-uni"
+        assert diff_schemas(ob.lattice, "").name == "migrate"
+        assert diff_schemas(ob.lattice, "", name="custom").name == "custom"
 
 
 class TestTargetValidation:
     def test_managed_types_cannot_be_declared(self):
         ob = Objectbase.in_memory()
         with pytest.raises(DDLValidationError):
-            diff_schemas(ob, "type T_object;")
+            diff_schemas(ob.lattice, "type T_object;")
         with pytest.raises(DDLValidationError):
-            diff_schemas(ob, "type T_null;")
+            diff_schemas(ob.lattice, "type T_null;")
 
     def test_base_cannot_be_a_supertype(self):
         ob = Objectbase.in_memory()
         with pytest.raises(DDLValidationError):
-            diff_schemas(ob, "type T_a : T_null;")
+            diff_schemas(ob.lattice, "type T_a : T_null;")
 
     def test_unknown_supertype_rejected(self):
         ob = Objectbase.in_memory()
         with pytest.raises(DDLValidationError):
-            diff_schemas(ob, "type T_a : T_ghost;")
+            diff_schemas(ob.lattice, "type T_a : T_ghost;")
 
     def test_root_supertype_is_normalized_out(self):
         ob = Objectbase.in_memory()
-        plan = diff_schemas(ob, "type T_a : T_object;")
+        plan = diff_schemas(ob.lattice, "type T_a : T_object;")
         apply_plan(ob, plan)
-        assert len(diff_schemas(ob, "type T_a;")) == 0
+        assert len(diff_schemas(ob.lattice, "type T_a;")) == 0
 
     def test_cyclic_target_rejected(self):
         ob = Objectbase.in_memory()
         with pytest.raises(DDLValidationError):
-            diff_schemas(ob, "type T_a : T_b;\ntype T_b : T_a;")
+            diff_schemas(ob.lattice, "type T_a : T_b;\ntype T_b : T_a;")
 
 
 class TestConvergenceOracle:
@@ -146,10 +146,10 @@ class TestConvergenceOracle:
             target = fuzz_schema(rng)
 
             ob = Objectbase.in_memory()
-            apply_plan(ob, diff_schemas(ob, live_decl))
-            assert len(diff_schemas(ob, live_decl)) == 0, f"pair {i}"
+            apply_plan(ob, diff_schemas(ob.lattice, live_decl))
+            assert len(diff_schemas(ob.lattice, live_decl)) == 0, f"pair {i}"
 
-            plan = diff_schemas(ob, target)
+            plan = diff_schemas(ob.lattice, target)
             report = analyze(ob.lattice, plan)
             doomed = [
                 d for d in report.diagnostics
@@ -162,7 +162,7 @@ class TestConvergenceOracle:
             except EvolutionError as exc:  # pragma: no cover - diagnostic
                 pytest.fail(f"pair {i}: plan did not apply: {exc}")
 
-            rediff = diff_schemas(ob, target)
+            rediff = diff_schemas(ob.lattice, target)
             assert len(rediff) == 0, (
                 f"pair {i}: re-diff not empty: "
                 f"{[op.describe() for op in rediff]}"
@@ -174,7 +174,7 @@ class TestConvergenceOracle:
         for i in range(50):
             base = fuzz_schema(rng, max_types=6)
             ob = Objectbase.in_memory()
-            apply_plan(ob, diff_schemas(ob, base))
+            apply_plan(ob, diff_schemas(ob.lattice, base))
 
             # target = base with one type dropped (when possible)
             types = list(base.types)
@@ -192,6 +192,6 @@ class TestConvergenceOracle:
                 target = SchemaDecl(kept, name=base.name)
             else:
                 target = base
-            plan = diff_schemas(ob, target)
+            plan = diff_schemas(ob.lattice, target)
             apply_plan(ob, plan)
-            assert len(diff_schemas(ob, target)) == 0, f"pair {i}"
+            assert len(diff_schemas(ob.lattice, target)) == 0, f"pair {i}"

@@ -10,6 +10,7 @@ from repro.api import Objectbase
 from repro.cli import main
 from repro.concurrent import ConcurrentObjectbase
 from repro.core.errors import DDLError, LintRejectedError, error_code
+from repro.ddl import print_schema, schema_from
 from repro.obs.metrics import REGISTRY
 
 TARGET = """
@@ -134,7 +135,8 @@ class TestConcurrentMigrate:
     def test_schema_ddl_matches_facade(self):
         store = ConcurrentObjectbase.in_memory()
         store.migrate_to(TARGET)
-        assert store.schema_ddl() == store._ob.schema_ddl()
+        # The live DDL equals the DDL of the published snapshot.
+        assert store.schema_ddl() == print_schema(schema_from(store.snapshot))
 
 
 class TestTopLevelExports:
@@ -150,9 +152,9 @@ class TestTopLevelExports:
 
         ob = Objectbase.in_memory()
         target = parse_schema("type T_a;")
-        plan = diff_schemas(ob, target)
+        plan = diff_schemas(ob.lattice, target)
         assert len(plan) == 1
-        assert print_schema(schema_from(ob)) == ""
+        assert print_schema(schema_from(ob.lattice)) == ""
 
     def test_storage_shims_are_gone(self):
         import repro.storage as storage

@@ -231,7 +231,7 @@ class TestDegradedService:
         store, _, client = served
         client.json("POST", "/v1/apply", {"op": at("T_person")})
         # Latch the store as the retry layer would on exhaustion.
-        store._ob._journal.file.latch.trip("test-injected fault")
+        store._journal.file.latch.trip("test-injected fault")
         try:
             status, body = client.json("GET", "/readyz")
             assert status == 503
